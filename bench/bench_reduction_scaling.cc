@@ -1,15 +1,27 @@
 // E14 — reduction machinery scaling: the polynomial RED decision procedure
 // vs the exhaustive rewrite oracle, and full PRED analysis cost, as
 // schedule size grows.
+//
+// E26 — PRED verification time vs history length: the one-pass AnalyzePRED
+// against the per-prefix AnalyzePREDReference on PRED histories of
+// ~100-1000 events, recorded by the PRED scheduler over the mixed-ADT
+// order economy (ShardedWorld, two tenants, four processes outstanding).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <iomanip>
 #include <iostream>
+#include <map>
+#include <memory>
 
+#include "common/str_util.h"
 #include "core/pred.h"
 #include "core/reduction.h"
+#include "core/scheduler.h"
 #include "workload/schedule_generator.h"
+#include "workload/sharded_world.h"
 
 using namespace tpm;
 
@@ -25,6 +37,83 @@ GeneratedSchedule MakeWorkload(int num_processes, double density,
   auto generated = GenerateRandomSchedule(config, &rng);
   // Generation of valid configs cannot fail.
   return std::move(generated).value();
+}
+
+// A recorded PRED history. The world owns the definitions the scheduler's
+// history points into.
+struct RecordedHistory {
+  std::unique_ptr<ShardedWorld> world;
+  std::unique_ptr<TransactionalProcessScheduler> scheduler;
+};
+
+RecordedHistory RecordHistory(int rounds) {
+  RecordedHistory h;
+  h.world = std::make_unique<ShardedWorld>(
+      ShardedWorldOptions{.seed = 26, .num_tenants = 2});
+  std::vector<const ProcessDef*> defs;
+  for (int r = 0; r < rounds; ++r) {
+    for (int t = 0; t < h.world->num_tenants(); ++t) {
+      defs.push_back(
+          h.world->MakeOrderProcess(t, StrCat("o", t, "_", r), r % 3));
+      defs.push_back(
+          h.world->MakeConsumeProcess(t, StrCat("c", t, "_", r), r % 3));
+      defs.push_back(
+          h.world->MakeRefillProcess(t, StrCat("f", t, "_", r), r % 3));
+    }
+  }
+  h.scheduler = std::make_unique<TransactionalProcessScheduler>();
+  (void)h.world->RegisterAllSolo(h.scheduler.get());
+  // Four outstanding at a time, like a closed loop.
+  for (size_t i = 0; i < defs.size(); ++i) {
+    (void)h.scheduler->Submit(defs[i]);
+    if (i % 4 == 3) (void)h.scheduler->Run();
+  }
+  (void)h.scheduler->Run();
+  return h;
+}
+
+// Rounds (six processes each) giving histories of 112, 280, 560 and 1120
+// events.
+constexpr int kE26Rounds[] = {4, 10, 20, 40};
+
+template <typename Analyze>
+double BestOfThreeMs(Analyze analyze) {
+  double best = 1e300;
+  for (int rep = 0; rep < 3; ++rep) {
+    auto t0 = std::chrono::steady_clock::now();
+    analyze();
+    best = std::min(best, std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
+  }
+  return best;
+}
+
+void PrintE26() {
+  std::cout << "E26 | PRED verification time vs history events (best of 3)\n";
+  std::cout << "  rounds  events  one-pass ms  reference ms  speedup\n";
+  for (int n : kE26Rounds) {
+    RecordedHistory h = RecordHistory(n);
+    const ProcessSchedule& history = h.scheduler->history();
+    const ConflictSpec& spec = h.scheduler->conflict_spec();
+    bool fast_pred = false, reference_pred = false;
+    const double fast_ms = BestOfThreeMs([&] {
+      auto outcome = AnalyzePRED(history, spec);
+      fast_pred = outcome.ok() && outcome->prefix_reducible;
+    });
+    const double reference_ms = BestOfThreeMs([&] {
+      auto outcome = AnalyzePREDReference(history, spec);
+      reference_pred = outcome.ok() && outcome->prefix_reducible;
+    });
+    std::cout << "  " << std::setw(6) << n << std::setw(8) << history.size()
+              << std::fixed << std::setprecision(3) << std::setw(13)
+              << fast_ms << std::setw(14) << reference_ms
+              << std::setprecision(1) << std::setw(8)
+              << reference_ms / fast_ms << "x"
+              << (fast_pred && reference_pred ? "" : "  (NOT PRED)") << "\n";
+    std::cout.unsetf(std::ios::fixed);
+  }
+  std::cout << "\n";
 }
 
 void PrintComparison() {
@@ -90,6 +179,40 @@ void BM_FullPredAnalysis(benchmark::State& state) {
 }
 BENCHMARK(BM_FullPredAnalysis)->Arg(2)->Arg(4)->Arg(8)->Complexity();
 
+void BM_AnalyzePRED(benchmark::State& state) {
+  RecordedHistory h = RecordHistory(static_cast<int>(state.range(0)));
+  const ProcessSchedule& history = h.scheduler->history();
+  for (auto _ : state) {
+    auto outcome = AnalyzePRED(history, h.scheduler->conflict_spec());
+    benchmark::DoNotOptimize(outcome);
+  }
+  state.counters["events"] = static_cast<double>(history.size());
+  state.SetComplexityN(static_cast<int64_t>(history.size()));
+}
+BENCHMARK(BM_AnalyzePRED)
+    ->Arg(kE26Rounds[0])
+    ->Arg(kE26Rounds[1])
+    ->Arg(kE26Rounds[2])
+    ->Arg(kE26Rounds[3])
+    ->Unit(benchmark::kMillisecond);
+
+void BM_AnalyzePREDReference(benchmark::State& state) {
+  RecordedHistory h = RecordHistory(static_cast<int>(state.range(0)));
+  const ProcessSchedule& history = h.scheduler->history();
+  for (auto _ : state) {
+    auto outcome = AnalyzePREDReference(history, h.scheduler->conflict_spec());
+    benchmark::DoNotOptimize(outcome);
+  }
+  state.counters["events"] = static_cast<double>(history.size());
+  state.SetComplexityN(static_cast<int64_t>(history.size()));
+}
+BENCHMARK(BM_AnalyzePREDReference)
+    ->Arg(kE26Rounds[0])
+    ->Arg(kE26Rounds[1])
+    ->Arg(kE26Rounds[2])
+    ->Arg(kE26Rounds[3])
+    ->Unit(benchmark::kMillisecond);
+
 void BM_CompleteSchedule(benchmark::State& state) {
   GeneratedSchedule w =
       MakeWorkload(static_cast<int>(state.range(0)), 0.1, 5);
@@ -104,6 +227,7 @@ BENCHMARK(BM_CompleteSchedule)->Arg(2)->Arg(8)->Arg(32);
 
 int main(int argc, char** argv) {
   PrintComparison();
+  PrintE26();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

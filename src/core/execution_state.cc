@@ -21,6 +21,28 @@ Status ProcessExecutionState::RecordCommit(ActivityId a) {
   return Status::OK();
 }
 
+Status ProcessExecutionState::CheckCommitLegal(ActivityId a) const {
+  for (ActivityId pred : def_->Predecessors(a)) {
+    if (!IsCommitted(pred)) {
+      return Status::FailedPrecondition(
+          StrCat("activity a", a, " requires committed predecessor a", pred));
+    }
+    auto pref = def_->EdgePreference(pred, a);
+    for (int g = 0; g < *pref; ++g) {
+      for (ActivityId sibling : def_->SuccessorsInGroup(pred, g)) {
+        for (ActivityId member : def_->Subtree(sibling)) {
+          if (IsCommitted(member)) {
+            return Status::FailedPrecondition(StrCat(
+                "alternative a", a, " requires prior branch via a", sibling,
+                " to be resolved, but a", member, " is still committed"));
+          }
+        }
+      }
+    }
+  }
+  return Status::OK();
+}
+
 Status ProcessExecutionState::RecordCompensation(ActivityId a) {
   if (committed_.count(a) == 0) {
     return Status::FailedPrecondition(

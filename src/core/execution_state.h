@@ -51,6 +51,12 @@ class ProcessExecutionState {
   /// Records the commit of original activity `a`.
   Status RecordCommit(ActivityId a);
 
+  /// Checks that committing original activity `a` now is legal: all its
+  /// predecessors committed, and every earlier-preference sibling branch
+  /// resolved (failed or compensated) — the alternative execution
+  /// semantics of Def. 5.
+  Status CheckCommitLegal(ActivityId a) const;
+
   /// Records the execution of the compensating activity a^-1 (which undoes
   /// a previously committed `a`).
   Status RecordCompensation(ActivityId a);

@@ -26,8 +26,23 @@ struct PredOutcome {
 /// must be reducible. RED itself is not prefix closed (§3.4), so PRED is
 /// the criterion usable for dynamic scheduling; by Theorem 1 every PRED
 /// schedule is serializable and process-recoverable.
+///
+/// One pass over the schedule (DESIGN.md §4l): the expanded prefix of S̃
+/// only grows from one prefix to the next, so it is reduced incrementally
+/// (CompletionBuilder feeding a ReductionIndex), and each prefix rebuilds
+/// only its tail — the merged completions of the processes still active.
+/// Reaches the same decision as AnalyzePREDReference on every input.
 Result<PredOutcome> AnalyzePRED(const ProcessSchedule& schedule,
                                 const ConflictSpec& spec);
+
+/// The definition executed literally: for every prefix, build S̃ from
+/// scratch and run AnalyzeRED on it. O(n) prefixes × the cost of RED.
+/// This is the oracle AnalyzePRED is cross-validated against in tests and
+/// benchmarks (the way IsReducibleExhaustive backs the RED procedure), and
+/// the fallback for schedules whose compensations do not alternate with
+/// their originals (only constructible with legality checks off).
+Result<PredOutcome> AnalyzePREDReference(const ProcessSchedule& schedule,
+                                         const ConflictSpec& spec);
 
 /// Convenience wrapper returning just the boolean.
 Result<bool> IsPRED(const ProcessSchedule& schedule, const ConflictSpec& spec);

@@ -1,6 +1,7 @@
 #include "core/recoverability.h"
 
-#include <map>
+#include <unordered_map>
+#include <vector>
 
 #include "common/str_util.h"
 
@@ -16,58 +17,79 @@ ProcRecOutcome AnalyzeProcessRecoverability(const ProcessSchedule& schedule,
                                             const ConflictSpec& spec) {
   ProcRecOutcome outcome;
   const auto& events = schedule.events();
+  const size_t n = events.size();
+  constexpr size_t kNone = SIZE_MAX;
 
-  // Commit event position per process.
-  std::map<ProcessId, size_t> commit_pos;
-  for (size_t i = 0; i < events.size(); ++i) {
-    if (events[i].type == EventType::kCommit) {
-      commit_pos[events[i].process] = i;
+  // Dense process index per event, and one flat row per process: its
+  // commit position.
+  std::unordered_map<ProcessId, size_t> dense;
+  std::vector<size_t> proc_of(n);
+  for (size_t i = 0; i < n; ++i) {
+    const ProcessId pid = events[i].type == EventType::kActivity
+                              ? events[i].act.process
+                              : events[i].process;
+    proc_of[i] = dense.try_emplace(pid, dense.size()).first->second;
+  }
+  std::vector<size_t> commit_pos(dense.size(), kNone);
+  for (size_t i = 0; i < n; ++i) {
+    if (events[i].type == EventType::kCommit) commit_pos[proc_of[i]] = i;
+  }
+
+  // One backward sweep: next_non_comp[i] is the position of the next
+  // non-compensatable original activity of event i's process strictly
+  // after i, or kNone. Services get dense indices on the way (-1: none).
+  std::vector<size_t> next_non_comp(n, kNone);
+  std::vector<size_t> upcoming(dense.size(), kNone);
+  std::vector<int> service(n, -1);
+  std::unordered_map<ServiceId, int> service_index;
+  std::vector<ServiceId> services;
+  for (size_t i = n; i-- > 0;) {
+    const ScheduleEvent& e = events[i];
+    if (e.type != EventType::kActivity || e.aborted_invocation) continue;
+    next_non_comp[i] = upcoming[proc_of[i]];
+    const ServiceId id = schedule.ServiceOf(e.act);
+    if (id.valid()) {
+      auto [it, fresh] = service_index.try_emplace(id, services.size());
+      if (fresh) services.push_back(id);
+      service[i] = it->second;
+    }
+    const ProcessDef* def = schedule.DefOf(e.act.process);
+    if (!e.act.inverse && def != nullptr &&
+        IsNonCompensatable(def->KindOf(e.act.activity))) {
+      upcoming[proc_of[i]] = i;
+    }
+  }
+  // The conflict relation over the services that occur, as a flat table.
+  const size_t num_services = services.size();
+  std::vector<char> conflicts(num_services * num_services, 0);
+  for (size_t a = 0; a < num_services; ++a) {
+    for (size_t b = a; b < num_services; ++b) {
+      const char c = spec.ServicesConflict(services[a], services[b]) ? 1 : 0;
+      conflicts[a * num_services + b] = c;
+      conflicts[b * num_services + a] = c;
     }
   }
 
-  // Position of the next non-compensatable original activity of `pid`
-  // strictly after position `from`, or SIZE_MAX.
-  auto next_non_comp = [&](ProcessId pid, size_t from) -> size_t {
-    const ProcessDef* def = schedule.DefOf(pid);
-    for (size_t k = from + 1; k < events.size(); ++k) {
-      const ScheduleEvent& e = events[k];
-      if (e.type != EventType::kActivity || e.aborted_invocation) continue;
-      if (e.act.process != pid || e.act.inverse) continue;
-      if (IsNonCompensatable(def->KindOf(e.act.activity))) return k;
-    }
-    return SIZE_MAX;
-  };
-
-  for (size_t i = 0; i < events.size(); ++i) {
-    if (events[i].type != EventType::kActivity ||
-        events[i].aborted_invocation) {
-      continue;
-    }
-    for (size_t j = i + 1; j < events.size(); ++j) {
-      if (events[j].type != EventType::kActivity ||
-          events[j].aborted_invocation) {
+  for (size_t i = 0; i < n; ++i) {
+    if (service[i] < 0) continue;
+    const char* row =
+        &conflicts[static_cast<size_t>(service[i]) * num_services];
+    for (size_t j = i + 1; j < n; ++j) {
+      if (service[j] < 0 || proc_of[j] == proc_of[i] || !row[service[j]]) {
         continue;
       }
-      if (!schedule.InstancesConflict(events[i].act, events[j].act, spec)) {
-        continue;
-      }
-      const ProcessId pi = events[i].act.process;
-      const ProcessId pj = events[j].act.process;
-
       // Clause 1: C_i <<_S C_j.
-      auto ci = commit_pos.find(pi);
-      auto cj = commit_pos.find(pj);
-      if (cj != commit_pos.end() &&
-          (ci == commit_pos.end() || ci->second > cj->second)) {
+      const size_t ci = commit_pos[proc_of[i]];
+      const size_t cj = commit_pos[proc_of[j]];
+      if (cj != kNone && (ci == kNone || ci > cj)) {
         outcome.violations.push_back(
             ProcRecViolation{events[i].act, events[j].act, 1});
       }
-
       // Clause 2: next non-compensatable of P_j after j must succeed the
       // next non-compensatable of P_i after i.
-      size_t a_jm = next_non_comp(pj, j);
-      size_t a_in = next_non_comp(pi, i);
-      if (a_jm != SIZE_MAX && a_in != SIZE_MAX && a_jm < a_in) {
+      const size_t a_jm = next_non_comp[j];
+      const size_t a_in = next_non_comp[i];
+      if (a_jm != kNone && a_in != kNone && a_jm < a_in) {
         outcome.violations.push_back(
             ProcRecViolation{events[i].act, events[j].act, 2});
       }

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
 
 #include "common/str_util.h"
+#include "core/reduction_index.h"
 
 namespace tpm {
 
@@ -46,79 +46,31 @@ std::vector<Token> ExtractTokens(const ProcessSchedule& completed,
   return tokens;
 }
 
-// Cancels compensation pairs (rule 2 together with rule 1) to a fixpoint:
-// a pair (a, a^-1) of the same activity cancels when no surviving token
-// conflicting with it lies between the two.
-void CancelCompensationPairs(std::vector<Token>* tokens,
-                             const ConflictSpec& spec) {
-  bool changed = true;
-  std::vector<bool> removed(tokens->size(), false);
-  while (changed) {
-    changed = false;
-    for (size_t i = 0; i < tokens->size(); ++i) {
-      if (removed[i] || (*tokens)[i].act.inverse) continue;
-      // Find the matching inverse occurrence after i.
-      for (size_t j = i + 1; j < tokens->size(); ++j) {
-        if (removed[j]) continue;
-        const Token& tj = (*tokens)[j];
-        if (tj.act.process == (*tokens)[i].act.process &&
-            tj.act.activity == (*tokens)[i].act.activity) {
-          if (!tj.act.inverse) break;  // re-execution: a later original
-          // Check for conflicting tokens strictly between i and j.
-          bool blocked = false;
-          for (size_t k = i + 1; k < j; ++k) {
-            if (removed[k]) continue;
-            if (TokensConflict((*tokens)[i], (*tokens)[k], spec)) {
-              blocked = true;
-              break;
-            }
-          }
-          if (!blocked) {
-            removed[i] = true;
-            removed[j] = true;
-            changed = true;
-          }
-          break;
-        }
-      }
-    }
-  }
-  std::vector<Token> surviving;
-  for (size_t i = 0; i < tokens->size(); ++i) {
-    if (!removed[i]) surviving.push_back((*tokens)[i]);
-  }
-  *tokens = std::move(surviving);
-}
-
 }  // namespace
 
 ReductionOutcome ReduceCompletedSchedule(
     const ProcessSchedule& completed, const ConflictSpec& spec,
     const std::set<ProcessId>& committed_in_original) {
   ReductionOutcome outcome;
-  std::vector<Token> tokens =
-      ExtractTokens(completed, spec, committed_in_original);
-  CancelCompensationPairs(&tokens, spec);
-
-  for (const Token& t : tokens) outcome.residual.push_back(t.act);
+  ReductionIndex index(spec, /*track_graph=*/false);
+  std::vector<ProcessId> ids;
+  for (const auto& [pid, def] : completed.processes()) {
+    index.AddProcess(pid);
+    ids.push_back(pid);
+  }
+  for (const ScheduleEvent& e : completed.events()) {
+    // Aborted invocations are effect-free and never conflict (see header).
+    if (e.type != EventType::kActivity || e.aborted_invocation) continue;
+    const ServiceId service = completed.ServiceOf(e.act);
+    const bool present = committed_in_original.count(e.act.process) > 0 ||
+                         !spec.IsEffectFreeService(service);  // rule 3
+    index.Append(e.act, service, present);
+  }
+  outcome.residual = index.Residual();
 
   // The residual can be commuted into a serial schedule iff the
   // process-level conflict graph over the residual is acyclic.
-  std::map<ProcessId, int> node_of;
-  std::vector<ProcessId> ids;
-  for (const auto& [pid, def] : completed.processes()) {
-    node_of[pid] = static_cast<int>(ids.size());
-    ids.push_back(pid);
-  }
-  Dag graph(static_cast<int>(ids.size()));
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    for (size_t j = i + 1; j < tokens.size(); ++j) {
-      if (TokensConflict(tokens[i], tokens[j], spec)) {
-        graph.AddEdge(node_of[tokens[i].act.process],
-                      node_of[tokens[j].act.process]);
-      }
-    }
-  }
+  Dag graph = index.BuildGraph();
   if (graph.HasCycle()) {
     outcome.reducible = false;
     for (int node : graph.FindCycle()) outcome.cycle.push_back(ids[node]);

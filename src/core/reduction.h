@@ -44,7 +44,9 @@ struct ReductionOutcome {
 /// in-between activities can be commuted out of the way first) — iterated
 /// to a fixpoint since each cancellation may unblock further ones; the
 /// residual is reducible to a serial schedule iff its process-level
-/// conflict graph is acyclic.
+/// conflict graph is acyclic. The cancellation runs on a ReductionIndex
+/// (core/reduction_index.h): a worklist over pairs that count their
+/// conflicting blockers, and edges built from per-service accessor lists.
 ///
 /// `committed_in_original` is the set of processes that committed in the
 /// original (uncompleted) schedule S — rule 3 only applies to the others.

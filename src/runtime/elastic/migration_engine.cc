@@ -804,6 +804,7 @@ Status MigrationEngine::Migrate(int component, int to) {
 
   ever_migrated_.store(true, std::memory_order_release);
   started_.fetch_add(1);
+  const auto protocol_start = std::chrono::steady_clock::now();
 
   // Write-ahead: the migration durably exists before anything moves.
   MigrationRecord begin;
@@ -884,6 +885,9 @@ Status MigrationEngine::Migrate(int component, int to) {
     std::lock_guard<std::mutex> lock(buffer_mu_);
     active_.reset();
   }
+  migration_ns_.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              std::chrono::steady_clock::now() - protocol_start)
+                              .count());
   return Status::OK();
 }
 

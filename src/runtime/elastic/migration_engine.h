@@ -192,6 +192,9 @@ class MigrationEngine {
 
   int64_t migrations_started() const { return started_.load(); }
   int64_t migrations_completed() const { return completed_.load(); }
+  /// Wall time spent in completed migrations, from the begin record to
+  /// the return of Migrate (verification of the merged history included).
+  int64_t migration_ns() const { return migration_ns_.load(); }
   int64_t migrations_aborted() const { return aborted_.load(); }
 
  private:
@@ -303,6 +306,7 @@ class MigrationEngine {
   std::atomic<bool> ever_migrated_{false};
   std::atomic<int64_t> started_{0};
   std::atomic<int64_t> completed_{0};
+  std::atomic<int64_t> migration_ns_{0};
   std::atomic<int64_t> aborted_{0};
 };
 

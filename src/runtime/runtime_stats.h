@@ -50,6 +50,8 @@ struct RuntimeStats {
   int64_t migrations_started = 0;
   int64_t migrations_completed = 0;
   int64_t migrations_aborted = 0;
+  /// Wall time of the completed migrations, summed.
+  double migration_s = 0;
   /// Shards currently parked (DPM sleep).
   int64_t shards_parked = 0;
   /// Non-noop decisions the elastic controller has applied.

@@ -935,6 +935,7 @@ RuntimeStats ShardedRuntime::Stats() const {
     stats.migrations_started = engine_->migrations_started();
     stats.migrations_completed = engine_->migrations_completed();
     stats.migrations_aborted = engine_->migrations_aborted();
+    stats.migration_s = static_cast<double>(engine_->migration_ns()) / 1e9;
   }
   if (controller_ != nullptr) {
     stats.rebalance_decisions = controller_->decisions();

@@ -31,6 +31,24 @@ struct RandomScheduleConfig {
   /// Probability per scheduling step that the schedule stops early,
   /// leaving the remaining processes active mid-flight.
   double stop_probability = 0.05;
+
+  // The knobs below default to off; while off they draw nothing from the
+  // RNG, so existing configurations generate the same schedules.
+
+  /// Probability per scheduling step that the chosen process aborts
+  /// individually (an A_i event) instead of running its next activity.
+  double abort_probability = 0.0;
+  /// Probability that the processes still active when the interleaving
+  /// ends are aborted jointly by an explicit group-abort event.
+  double group_abort_probability = 0.0;
+  /// Probability that an activity's service is declared effect-free
+  /// (Def. 1), exposing it to reduction rule 3.
+  double effect_free_probability = 0.0;
+  /// Probability that a process ends in a ◁ branch point: a preferred
+  /// alternative (compensatable, then pivot) ◁ a retriable fallback. Half
+  /// of those processes take the preferred branch; the other half see its
+  /// pivot fail, compensate, and take the fallback.
+  double alternative_probability = 0.0;
 };
 
 /// A generated world: process definitions (owned), the conflict relation,
