@@ -78,6 +78,17 @@ class ProcessSchedule {
   const std::vector<ScheduleEvent>& events() const { return events_; }
   size_t size() const { return events_.size(); }
 
+  /// Records that `pid`, a held sub-process of a cross-shard spanning
+  /// process, cast its "prepared" vote now, i.e. after the events appended
+  /// so far. A vote is not an event: no criterion reads it and the digest
+  /// ignores it. The global projection uses it to merge a spanning
+  /// process's later slices — submitted only after this vote — behind
+  /// everything this shard did before it (DESIGN.md §4h).
+  void MarkVote(ProcessId pid);
+
+  /// Number of events that precede `pid`'s vote, or 0 if it has none.
+  size_t VotePosition(ProcessId pid) const;
+
   const std::map<ProcessId, const ProcessDef*>& processes() const {
     return defs_;
   }
@@ -141,6 +152,8 @@ class ProcessSchedule {
   std::map<ProcessId, std::shared_ptr<ProcessExecutionState>> states_;
   /// Processes released but whose events are not yet compacted away.
   std::set<ProcessId> released_;
+  /// MarkVote positions, kept valid across Compact().
+  std::map<ProcessId, size_t> votes_;
 };
 
 /// The committed projection of a history: the events of exactly those

@@ -1422,6 +1422,7 @@ Result<bool> TransactionalProcessScheduler::MaybeVoteHeldCommit(
     TPM_RETURN_IF_ERROR(log_->Flush());
   }
   rt.commit_held = true;
+  history_.MarkVote(rt.pid);
   ++stats_.cross_shard_prepares;
   for (SchedulerObserver* observer : observers_) {
     observer->OnCommitHeld(rt.pid);
@@ -1880,6 +1881,7 @@ Status TransactionalProcessScheduler::Recover(
         if (!record.activity.valid()) {
           // The vote marker: only its durable presence means "voted".
           held_voted.insert(record.pid.value());
+          history_.MarkVote(record.pid);
           break;
         }
         const size_t colon = record.def_name.find(':');

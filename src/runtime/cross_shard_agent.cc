@@ -665,6 +665,7 @@ std::map<std::string, SpanSubProjection> CrossShardAgent::ProjectionInfo()
       for (const SubProcessPlan& sub : st->plan.subs) {
         entry.forward_preds.push_back(sub.def->name());
       }
+      entry.tail = true;
       info[tail.def->name()] = std::move(entry);
     }
   }

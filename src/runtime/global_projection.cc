@@ -18,6 +18,7 @@ struct LocalProcess {
   int64_t forward_total = 0;     // kActivity events with inverse == false
   int64_t forward_consumed = 0;
   bool committed = false;        // has a Commit terminal in its history
+  size_t vote_position = 0;      // events of its shard before its vote
   bool terminal_consumed = false;
   bool terminal_commit = false;
 };
@@ -28,6 +29,8 @@ struct SpanInstance {
   int slices = 0;            // slices present in some history
   int terminals = 0;         // slice terminals consumed so far
   int committed_slices = 0;
+  int tails = 0;             // ◁-tail slices present in some history
+  int committed_tails = 0;
   bool terminal_emitted = false;
   std::vector<std::pair<int, int64_t>> members;  // (shard, local pid)
 };
@@ -60,6 +63,7 @@ Result<ProcessSchedule> MergeGlobalProjection(
               global.AddProcess(instance.global_pid, span->second.original));
         }
         ++instance.slices;
+        if (span->second.tail) ++instance.tails;
         instance.members.emplace_back(static_cast<int>(shard), pid.value());
         local.global_pid = instance.global_pid;
         slice_of_name[def->name()] = {static_cast<int>(shard), pid.value()};
@@ -67,6 +71,7 @@ Result<ProcessSchedule> MergeGlobalProjection(
         local.global_pid = ProcessId(next_pid++);
         TPM_RETURN_IF_ERROR(global.AddProcess(local.global_pid, def));
       }
+      local.vote_position = history.VotePosition(pid);
       locals[{static_cast<int>(shard), pid.value()}] = local;
     }
     for (const ScheduleEvent& event : history.events()) {
@@ -81,7 +86,14 @@ Result<ProcessSchedule> MergeGlobalProjection(
   }
 
   // A slice's events are enabled once every skeleton predecessor present
-  // in some history has all its forward events merged.
+  // in some history has all its forward events merged, and so has every
+  // event its shard recorded before the predecessor's vote: the slice was
+  // submitted only after that vote, so those events really preceded all
+  // of its own. (Forward events alone are not enough: a predecessor votes
+  // only once its conflicting predecessors terminated, and merging the
+  // slice's pivot ahead of their pivots would fabricate a Proc-REC
+  // violation the execution never had.)
+  std::vector<size_t> cursor(shard_histories.size(), 0);
   auto slice_enabled = [&](const LocalProcess& local) {
     // Aborted slices are effect-free (their forward work is compensated)
     // and induce no conflicts, so they need no cross-shard ordering; after
@@ -93,6 +105,10 @@ Result<ProcessSchedule> MergeGlobalProjection(
       if (found == slice_of_name.end()) continue;  // never submitted
       const LocalProcess& p = locals.at(found->second);
       if (p.forward_consumed < p.forward_total) return false;
+      if (cursor[static_cast<size_t>(found->second.first)] <
+          p.vote_position) {
+        return false;
+      }
     }
     return true;
   };
@@ -150,13 +166,23 @@ Result<ProcessSchedule> MergeGlobalProjection(
     SpanInstance& instance = span_instances.at(local.span->gsn);
     ++instance.terminals;
     if (committed) ++instance.committed_slices;
-    if (instance.terminals == instance.slices &&
-        instance.committed_slices != 0 &&
-        instance.committed_slices != instance.slices) {
-      return Status::Internal(StrCat(
-          "spanning process g", local.span->gsn, " is half-committed: ",
-          instance.committed_slices, " of ", instance.slices,
-          " slices committed — cross-shard atomicity violated"));
+    if (committed && local.span->tail) ++instance.committed_tails;
+    if (instance.terminals == instance.slices) {
+      // Failed ◁ alternatives abort inside a committed span: of the
+      // tails, exactly one commits if the trunk did, none otherwise.
+      const int trunk = instance.slices - instance.tails;
+      const int committed_trunk =
+          instance.committed_slices - instance.committed_tails;
+      const bool span_committed = committed_trunk != 0;
+      if ((span_committed && committed_trunk != trunk) ||
+          instance.committed_tails !=
+              (span_committed && instance.tails != 0 ? 1 : 0)) {
+        return Status::Internal(StrCat(
+            "spanning process g", local.span->gsn, " is half-committed: ",
+            committed_trunk, " of ", trunk, " trunk slices and ",
+            instance.committed_tails, " of ", instance.tails,
+            " ◁ tails committed — cross-shard atomicity violated"));
+      }
     }
     if (instance.terminal_emitted) return Status::OK();
     if (committed) {
@@ -170,7 +196,6 @@ Result<ProcessSchedule> MergeGlobalProjection(
                          /*enforce_legal=*/false);
   };
 
-  std::vector<size_t> cursor(shard_histories.size(), 0);
   for (;;) {
     bool all_done = true;
     bool advanced = false;

@@ -30,6 +30,10 @@ struct SpanSubProjection {
   /// voted — finished all forward work — before this slice was even
   /// submitted). Predecessors absent from every history are vacuous.
   std::vector<std::string> forward_preds;
+  /// A ◁-alternative tail slice. A failed alternative aborts and the next
+  /// one is tried, so a committed span may hold aborted tails; exactly one
+  /// of its tails (if it has any) commits.
+  bool tail = false;
 };
 
 /// Merges per-shard schedules into the global committed-projection view
@@ -44,13 +48,18 @@ struct SpanSubProjection {
 ///    global C is emitted at the first slice commit (once every slice's
 ///    forward events are merged; waiting for the LAST terminal instead
 ///    can deadlock the merge against the skeleton gate), a global A at
-///    the last slice terminal of an aborted span. Slices of one
-///    span disagreeing on their terminal (some committed, some aborted)
-///    are an atomicity violation and fail the merge — this is exactly the
+///    the last slice terminal of an aborted span. Trunk slices of one
+///    span disagreeing on their terminal (some committed, some aborted),
+///    or a committed tail with an aborted trunk, or a committed trunk
+///    whose tails all aborted, are an atomicity violation and fail the
+///    merge (aborted ◁ tails of a committed span are failed alternatives,
+///    not a violation) — this is exactly the
 ///    "no spanning process half-committed" assertion the recovery sweep
 ///    relies on;
 ///  * cross-shard program order is restored by the skeleton gate
-///    (SpanSubProjection::forward_preds);
+///    (SpanSubProjection::forward_preds): a slice waits for its skeleton
+///    predecessors' forward events and for everything their shards
+///    recorded before their votes (ProcessSchedule::VotePosition);
 ///  * every non-spanning process gets a fresh unique global pid.
 ///
 /// The merge is deterministic: among the shards whose next event is

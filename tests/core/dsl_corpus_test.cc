@@ -325,6 +325,14 @@ schedule! A.x B.y A.x^-1 B.y^-1
     },
 };
 
+// Without this, gtest prints a Case as its raw bytes, which include the
+// (address-randomised) string pointers, so the listed test names would
+// change from build to build. Print the expected verdicts instead.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << "SR=" << c.expected.serializable << " RED=" << c.expected.red
+      << " PRED=" << c.expected.pred << " SOT=" << c.expected.sot;
+}
+
 class DslCorpusTest : public ::testing::TestWithParam<Case> {};
 
 TEST_P(DslCorpusTest, VerdictsMatch) {

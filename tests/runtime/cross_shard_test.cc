@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -384,6 +386,172 @@ TEST(CrossShardTest, FreeRunningSpanningSoakIsGloballyCorrect) {
   EXPECT_TRUE(*pred);
   EXPECT_TRUE(
       IsProcessRecoverable(CommittedProjection(*global), runtime.union_spec()));
+}
+
+// Hand-built shard histories for MergeGlobalProjection: a linear
+// definition over (kind, service) activities; compensatables get the
+// compensation service 100 + service.
+std::unique_ptr<ProcessDef> LinearDef(
+    const std::string& name,
+    const std::vector<std::pair<ActivityKind, int>>& acts) {
+  auto def = std::make_unique<ProcessDef>(name);
+  ActivityId prev;
+  for (const auto& [kind, service] : acts) {
+    const ActivityId id = def->AddActivity(
+        StrCat("s", service), kind, ServiceId(service),
+        IsCompensatableKind(kind) ? ServiceId(100 + service) : ServiceId());
+    if (prev.valid()) {
+      EXPECT_TRUE(def->AddEdge(prev, id).ok());
+    }
+    prev = id;
+  }
+  EXPECT_TRUE(def->Validate().ok());
+  return def;
+}
+
+void AppendActivity(ProcessSchedule* history, int64_t pid, int64_t act,
+                    bool aborted_invocation = false) {
+  ASSERT_TRUE(history
+                  ->Append(ScheduleEvent::Activity(
+                               ActivityInstance{ProcessId(pid),
+                                                ActivityId(act), false},
+                               aborted_invocation),
+                           /*enforce_legal=*/false)
+                  .ok());
+}
+
+// A later slice is submitted only after its skeleton predecessor voted,
+// and the predecessor votes only once its conflicting predecessors
+// terminated. The merge must keep that order: merging the later slice
+// (on the lower shard) right after the predecessor's forward events would
+// put the span's commit ahead of the commit of a process it read from — a
+// Proc-REC violation the execution never had.
+TEST(GlobalProjectionTest, LaterSliceWaitsForPredecessorVote) {
+  auto original = LinearDef("span", {{ActivityKind::kCompensatable, 1},
+                                     {ActivityKind::kPivot, 3}});
+  auto first = LinearDef("span@g1/s0", {{ActivityKind::kCompensatable, 1}});
+  auto second = LinearDef("span@g1/s1", {{ActivityKind::kPivot, 3}});
+  auto local = LinearDef("consume", {{ActivityKind::kCompensatable, 1},
+                                     {ActivityKind::kPivot, 2}});
+  ConflictSpec spec;
+  spec.AddConflict(ServiceId(1), ServiceId(1));
+
+  std::map<std::string, SpanSubProjection> spans;
+  spans["span@g1/s0"] = {.gsn = 1,
+                         .original = original.get(),
+                         .to_original = {{ActivityId(1), ActivityId(1)}},
+                         .forward_preds = {}};
+  spans["span@g1/s1"] = {.gsn = 1,
+                         .original = original.get(),
+                         .to_original = {{ActivityId(1), ActivityId(2)}},
+                         .forward_preds = {"span@g1/s0"}};
+
+  // Shard 0 runs the later slice; shard 1 runs the consumer, then the
+  // first slice, which votes after the consumer committed.
+  ProcessSchedule shard0;
+  ASSERT_TRUE(shard0.AddProcess(ProcessId(1), second.get()).ok());
+  AppendActivity(&shard0, 1, 1);
+  ASSERT_TRUE(shard0.Append(ScheduleEvent::Commit(ProcessId(1)), false).ok());
+  ProcessSchedule shard1;
+  ASSERT_TRUE(shard1.AddProcess(ProcessId(1), local.get()).ok());
+  ASSERT_TRUE(shard1.AddProcess(ProcessId(2), first.get()).ok());
+  AppendActivity(&shard1, 1, 1);
+  AppendActivity(&shard1, 2, 1);
+  AppendActivity(&shard1, 1, 2);
+  ASSERT_TRUE(shard1.Append(ScheduleEvent::Commit(ProcessId(1)), false).ok());
+  ProcessSchedule unvoted = shard1;
+  shard1.MarkVote(ProcessId(2));
+  EXPECT_EQ(shard1.VotePosition(ProcessId(2)), 4u);
+  for (ProcessSchedule* h : {&shard1, &unvoted}) {
+    ASSERT_TRUE(h->Append(ScheduleEvent::Commit(ProcessId(2)), false).ok());
+  }
+
+  auto global = MergeGlobalProjection({&shard0, &shard1}, spans);
+  ASSERT_TRUE(global.ok()) << global.status();
+  // The span is global P1, the consumer P2: C2 precedes the span's pivot.
+  std::vector<std::string> events;
+  for (const ScheduleEvent& e : global->events()) {
+    events.push_back(e.ToString());
+  }
+  EXPECT_EQ(StrJoin(events, " "), "a2_1 a1_1 a2_2 C2 a1_2 C1");
+  auto pred = IsPRED(*global, spec);
+  ASSERT_TRUE(pred.ok()) << pred.status();
+  EXPECT_TRUE(*pred);
+  EXPECT_TRUE(IsProcessRecoverable(CommittedProjection(*global), spec));
+
+  // Gated on forward events alone, the span commits first.
+  auto ungated = MergeGlobalProjection({&shard0, &unvoted}, spans);
+  ASSERT_TRUE(ungated.ok()) << ungated.status();
+  EXPECT_FALSE(IsProcessRecoverable(CommittedProjection(*ungated), spec));
+}
+
+// A failed ◁ alternative aborts inside a committed spanning process; that
+// is not a half-committed span. A committed trunk whose alternatives all
+// failed is.
+TEST(GlobalProjectionTest, FailedAlternativeIsNotHalfCommitted) {
+  auto original = std::make_unique<ProcessDef>("alt");
+  const ActivityId x = original->AddActivity(
+      "x", ActivityKind::kCompensatable, ServiceId(1), ServiceId(101));
+  const ActivityId y =
+      original->AddActivity("y", ActivityKind::kPivot, ServiceId(2));
+  const ActivityId z =
+      original->AddActivity("z", ActivityKind::kPivot, ServiceId(3));
+  ASSERT_TRUE(original->AddEdge(x, y, 0).ok());
+  ASSERT_TRUE(original->AddEdge(x, z, 1).ok());
+  ASSERT_TRUE(original->Validate().ok());
+  auto trunk = LinearDef("alt@g1/s0", {{ActivityKind::kCompensatable, 1}});
+  auto tail0 = LinearDef("alt@g1/t0", {{ActivityKind::kPivot, 2}});
+  auto tail1 = LinearDef("alt@g1/t1", {{ActivityKind::kPivot, 3}});
+
+  std::map<std::string, SpanSubProjection> spans;
+  spans["alt@g1/s0"] = {.gsn = 1,
+                        .original = original.get(),
+                        .to_original = {{x, x}},
+                        .forward_preds = {}};
+  spans["alt@g1/t0"] = {.gsn = 1,
+                        .original = original.get(),
+                        .to_original = {{ActivityId(1), y}},
+                        .forward_preds = {"alt@g1/s0"},
+                        .tail = true};
+  spans["alt@g1/t1"] = {.gsn = 1,
+                        .original = original.get(),
+                        .to_original = {{ActivityId(1), z}},
+                        .forward_preds = {"alt@g1/s0"},
+                        .tail = true};
+
+  ProcessSchedule shard0;
+  ASSERT_TRUE(shard0.AddProcess(ProcessId(1), trunk.get()).ok());
+  AppendActivity(&shard0, 1, 1);
+  shard0.MarkVote(ProcessId(1));
+  ASSERT_TRUE(shard0.Append(ScheduleEvent::Commit(ProcessId(1)), false).ok());
+  ProcessSchedule shard1;  // the preferred alternative fails
+  ASSERT_TRUE(shard1.AddProcess(ProcessId(1), tail0.get()).ok());
+  AppendActivity(&shard1, 1, 1, /*aborted_invocation=*/true);
+  ASSERT_TRUE(shard1.Append(ScheduleEvent::Abort(ProcessId(1)), false).ok());
+  ProcessSchedule shard2;  // the next one commits
+  ASSERT_TRUE(shard2.AddProcess(ProcessId(1), tail1.get()).ok());
+  AppendActivity(&shard2, 1, 1);
+  shard2.MarkVote(ProcessId(1));
+  ASSERT_TRUE(shard2.Append(ScheduleEvent::Commit(ProcessId(1)), false).ok());
+
+  auto global = MergeGlobalProjection({&shard0, &shard1, &shard2}, spans);
+  ASSERT_TRUE(global.ok()) << global.status();
+  EXPECT_TRUE(global->IsProcessCommitted(ProcessId(1)));
+  int terminals = 0;
+  for (const ScheduleEvent& e : global->events()) {
+    if (e.type != EventType::kActivity) ++terminals;
+  }
+  EXPECT_EQ(terminals, 1);
+
+  ProcessSchedule failed;  // the last alternative fails too
+  ASSERT_TRUE(failed.AddProcess(ProcessId(1), tail1.get()).ok());
+  AppendActivity(&failed, 1, 1, /*aborted_invocation=*/true);
+  ASSERT_TRUE(failed.Append(ScheduleEvent::Abort(ProcessId(1)), false).ok());
+  auto half = MergeGlobalProjection({&shard0, &shard1, &failed}, spans);
+  ASSERT_FALSE(half.ok());
+  EXPECT_NE(half.status().ToString().find("half-committed"),
+            std::string::npos)
+      << half.status();
 }
 
 }  // namespace
