@@ -443,8 +443,18 @@ Status TransactionalProcessScheduler::AddExternalOrder(ProcessId before,
   if (FindRuntime(after) == nullptr) {
     return Status::NotFound(StrCat("no such process: P", after));
   }
+  // A predecessor with no runtime (reclaimed) or already pruned has
+  // terminated and left the graph: the order holds. Adding the edge would
+  // re-intern it as a node that never terminates, which pins `after` in
+  // the graph (and its runtime out of the reclaim pool) for good.
+  if (FindRuntime(before) == nullptr || IsPruned(before)) return Status::OK();
   sg_.AddEdge(before, after);
   return Status::OK();
+}
+
+bool TransactionalProcessScheduler::InSerializationGraph(ProcessId pid) const {
+  CheckThread("InSerializationGraph");
+  return sg_.Contains(pid);
 }
 
 int64_t TransactionalProcessScheduler::held_undecided_count() const {

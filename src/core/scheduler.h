@@ -200,8 +200,14 @@ class TransactionalProcessScheduler : private SchedulerView {
   /// External order constraint hook for the cross-shard agent: embeds the
   /// agent-imposed inter-shard order `before` << `after` into the local
   /// serialization graph, so SGT admission and the Def. 11 commit-wait
-  /// respect it without this scheduler knowing about other shards.
+  /// respect it without this scheduler knowing about other shards. An
+  /// order whose `before` already left the graph (pruned or reclaimed)
+  /// is satisfied and adds nothing.
   Status AddExternalOrder(ProcessId before, ProcessId after);
+
+  /// Whether `pid` is a node of the serialization graph. A terminated
+  /// process leaves it once it has no predecessors left (pruning).
+  bool InSerializationGraph(ProcessId pid) const;
 
   /// Held processes that voted but have not yet received a decision —
   /// they are externally in flight (the runtime's idle accounting must

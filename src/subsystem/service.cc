@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/rng.h"
 #include "common/str_util.h"
@@ -58,29 +60,50 @@ std::vector<ServiceId> ServiceRegistry::AllIds() const {
   return ids;
 }
 
-namespace {
-
-bool SetsIntersect(const std::vector<std::string>& a,
-                   const std::vector<std::string>& b) {
-  for (const auto& key : a) {
-    if (std::find(b.begin(), b.end(), key) != b.end()) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 void ServiceRegistry::DeriveConflicts(ConflictSpec* spec) const {
-  for (const auto& [id_a, a] : services_) {
-    if (a.effect_free) spec->MarkEffectFree(id_a);
-    for (const auto& [id_b, b] : services_) {
-      if (id_b < id_a) continue;
-      // Conflict iff one's writes intersect the other's reads or writes.
-      const bool conflict = SetsIntersect(a.write_set, b.write_set) ||
-                            SetsIntersect(a.write_set, b.read_set) ||
-                            SetsIntersect(a.read_set, b.write_set);
-      if (conflict) spec->AddConflict(id_a, id_b);
+  // Two services conflict iff one's writes intersect the other's reads or
+  // writes. Index every key by its readers and writers; services_ iterates
+  // in ascending id order, so each list comes out sorted (a key listed
+  // twice in one set lists its service twice).
+  struct KeyUsers {
+    std::vector<ServiceId> readers;
+    std::vector<ServiceId> writers;
+  };
+  std::unordered_map<std::string_view, KeyUsers> users;
+  for (const auto& [id, def] : services_) {
+    for (const std::string& key : def.read_set) {
+      users[key].readers.push_back(id);
     }
+    for (const std::string& key : def.write_set) {
+      users[key].writers.push_back(id);
+    }
+  }
+  // Services a in ascending id order, each with its partners b >= a in
+  // ascending order: the same sequence of spec mutations as the pairwise
+  // definition issues, so the spec's dense interning order, partner lists
+  // and bitsets are those of a pairwise scan. Cost: O(sum of key-set sizes
+  // + conflicting pairs) instead of O(services^2).
+  std::vector<ServiceId> partners;
+  const auto gather = [&partners](const std::vector<ServiceId>& ids,
+                                  ServiceId from) {
+    partners.insert(partners.end(),
+                    std::lower_bound(ids.begin(), ids.end(), from), ids.end());
+  };
+  for (const auto& [id, def] : services_) {
+    if (def.effect_free) spec->MarkEffectFree(id);
+    partners.clear();
+    for (const std::string& key : def.write_set) {
+      const KeyUsers& key_users = users.find(key)->second;
+      gather(key_users.readers, id);
+      gather(key_users.writers, id);
+    }
+    for (const std::string& key : def.read_set) {
+      gather(users.find(key)->second.writers, id);
+    }
+    std::sort(partners.begin(), partners.end());
+    partners.erase(std::unique(partners.begin(), partners.end()),
+                   partners.end());
+    for (ServiceId partner : partners) spec->AddConflict(id, partner);
   }
   // Op-kind metadata: bind services to interned op kinds and declare the
   // commuting pairs / inverse pairings, downgrading the conservative

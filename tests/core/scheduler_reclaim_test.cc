@@ -124,6 +124,39 @@ TEST(SchedulerReclaimTest, DependenciesAreRejectedUnderReclaim) {
       << dependent.status().ToString();
 }
 
+TEST(SchedulerReclaimTest, ExternalOrderOnReclaimedPredecessorIsSatisfied) {
+  MiniWorld world;
+  const ProcessDef* def = world.MakeChain("p", "c:a p:b");
+  ASSERT_NE(def, nullptr);
+
+  SchedulerOptions options;
+  options.reclaim_terminated = true;
+  TransactionalProcessScheduler scheduler(options);
+  ASSERT_TRUE(scheduler.RegisterSubsystem(world.subsystem()).ok());
+
+  Result<ProcessId> p1 = scheduler.Submit(def);
+  ASSERT_TRUE(p1.ok());
+  ASSERT_TRUE(scheduler.Run().ok());
+  ASSERT_EQ(scheduler.OutcomeOf(*p1), ProcessOutcome::kCommitted);
+
+  // The held submission's epoch boundary recycles P1's runtime; ordering
+  // P2 behind it must neither re-create P1 in the graph nor pin P2 there.
+  Result<ProcessId> p2 = scheduler.SubmitHeld(def);
+  ASSERT_TRUE(p2.ok());
+  ASSERT_TRUE(scheduler.AddExternalOrder(*p1, *p2).ok());
+  EXPECT_FALSE(scheduler.InSerializationGraph(*p1));
+
+  for (int i = 0; i < 100 && scheduler.held_undecided_count() == 0; ++i) {
+    ASSERT_TRUE(scheduler.Step().ok());
+  }
+  ASSERT_EQ(scheduler.held_undecided_count(), 1);
+  ASSERT_TRUE(scheduler.ResolveHeldCommit(*p2, /*commit=*/true).ok());
+  ASSERT_TRUE(scheduler.Run().ok());
+  EXPECT_EQ(scheduler.OutcomeOf(*p2), ProcessOutcome::kCommitted);
+  EXPECT_FALSE(scheduler.InSerializationGraph(*p1));
+  EXPECT_FALSE(scheduler.InSerializationGraph(*p2));
+}
+
 TEST(SchedulerReclaimTest, ReclaimedStatsMatchUnboundedRun) {
   // Same workload with and without reclamation: stats and final subsystem
   // state must be identical — reclamation only changes memory retention.

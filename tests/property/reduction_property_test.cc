@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/reduction.h"
 #include "workload/schedule_generator.h"
 
@@ -15,6 +17,11 @@ struct OracleParams {
   double conflict_density;
   int iterations;
 };
+
+void PrintTo(const OracleParams& p, std::ostream* os) {
+  *os << "procs=" << p.num_processes << " density=" << p.conflict_density
+      << " n=" << p.iterations;
+}
 
 class ReductionOracleSweep : public ::testing::TestWithParam<OracleParams> {};
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/baseline_schedulers.h"
 #include "core/pred.h"
 #include "common/str_util.h"
@@ -18,6 +20,11 @@ struct WorkloadParams {
   double failure_rate; // per-invocation abort probability
   uint64_t seed;
 };
+
+void PrintTo(const WorkloadParams& p, std::ostream* os) {
+  *os << "procs=" << p.num_processes << " items=" << p.items
+      << " failure=" << p.failure_rate << " seed=" << p.seed;
+}
 
 class SchedulerSweep : public ::testing::TestWithParam<WorkloadParams> {};
 

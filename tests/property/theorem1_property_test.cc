@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/pred.h"
 #include "core/recoverability.h"
 #include "core/serializability.h"
@@ -31,6 +33,11 @@ struct SweepParams {
   double conflict_density;
   int iterations;
 };
+
+void PrintTo(const SweepParams& p, std::ostream* os) {
+  *os << "procs=" << p.num_processes << " density=" << p.conflict_density
+      << " n=" << p.iterations;
+}
 
 // The enforceable core of Def. 11: a clause-1 violation whose earlier
 // activity *will actually be compensated* by the completion of its
