@@ -214,10 +214,18 @@ void TransactionalProcessScheduler::AddEmitter(ServiceId service,
   if (it == row.end() || *it != pid) row.insert(it, pid);
 }
 
-void TransactionalProcessScheduler::RemoveEmitter(ProcessId pid) {
-  for (std::vector<ProcessId>& row : service_emitters_) {
-    auto it = std::lower_bound(row.begin(), row.end(), pid);
-    if (it != row.end() && *it == pid) row.erase(it);
+void TransactionalProcessScheduler::RemoveEmitter(const ProcessRuntime& rt) {
+  // EmitActivity records only the services of rt's own activities, so
+  // those rows are the only ones that can name it: O(activities), not
+  // O(registered services).
+  for (const ActivityDecl& decl : rt.def->activities()) {
+    const int index = spec_.IndexOf(decl.service);
+    if (index < 0 || static_cast<size_t>(index) >= service_emitters_.size()) {
+      continue;
+    }
+    std::vector<ProcessId>& row = service_emitters_[index];
+    auto it = std::lower_bound(row.begin(), row.end(), rt.pid);
+    if (it != row.end() && *it == rt.pid) row.erase(it);
   }
 }
 
@@ -457,6 +465,14 @@ bool TransactionalProcessScheduler::InSerializationGraph(ProcessId pid) const {
   return sg_.Contains(pid);
 }
 
+bool TransactionalProcessScheduler::InAnyEmitterRow(ProcessId pid) const {
+  CheckThread("InAnyEmitterRow");
+  for (const std::vector<ProcessId>& row : service_emitters_) {
+    if (std::binary_search(row.begin(), row.end(), pid)) return true;
+  }
+  return false;
+}
+
 int64_t TransactionalProcessScheduler::held_undecided_count() const {
   CheckThread("held_undecided_count");
   int64_t count = 0;
@@ -517,7 +533,7 @@ void TransactionalProcessScheduler::PruneSerializationGraph(
     std::vector<ProcessId> exposed;
     sg_.ForEachSuccessor(pid, [&](ProcessId succ) { exposed.push_back(succ); });
     sg_.RemoveNode(pid);
-    RemoveEmitter(pid);
+    RemoveEmitter(*rt);
     MarkPruned(pid);
     for (ProcessId succ : exposed) worklist.push_back(succ);
   }
@@ -1092,7 +1108,9 @@ Result<bool> TransactionalProcessScheduler::ExecuteCompletionStep(
     // Lemma 3's proof). The other process either commits (conflict order
     // stays acyclic) or aborts, in which case its compensation correctly
     // precedes this step; mutual waits are broken by deadlock resolution.
-    for (const auto& other : runtimes_) {
+    // active_pids_ is ascending, the order of the runtime slots.
+    for (ProcessId other_pid : active_pids_) {
+      const ProcessRuntime* other = FindRuntime(other_pid);
       if (other == nullptr) continue;
       if (other->pid == rt.pid || !other->state.IsActive()) continue;
       const std::vector<ActivityId> effective =
@@ -1289,7 +1307,7 @@ Status TransactionalProcessScheduler::FinishProcess(ProcessRuntime& rt,
     sg_.ForEachSuccessor(rt.pid,
                          [&](ProcessId succ) { prune_seeds.push_back(succ); });
     sg_.RemoveNode(rt.pid);
-    RemoveEmitter(rt.pid);
+    RemoveEmitter(rt);
     MarkPruned(rt.pid);
   } else {
     prune_seeds.push_back(rt.pid);
@@ -1978,6 +1996,15 @@ Status TransactionalProcessScheduler::Recover(
   // Group abort of all in-flight processes (Def. 8 2b): compensations of
   // all completions first, in global reverse order of the original commits
   // (Lemma 2), then the forward recovery paths (Lemma 3).
+  //
+  // While it runs, appends stay staged even on a synchronous log: the log
+  // is synced only where the write-ahead rules need it — before each
+  // subsystem invocation (the COMP intention's flush, or a flush of the
+  // previous forward step's ACT) and once before returning. That keeps a
+  // synchronous log's window at one in-flight record, and no inverse can
+  // run twice, without one sync per ABORT, ACT and COMP record.
+  Wal::DeferSync staged(log_->wal());
+  const bool synchronous = log_->wal()->synchronous();
   struct BackwardItem {
     ProcessId pid;
     ActivityId activity;
@@ -2027,6 +2054,9 @@ Status TransactionalProcessScheduler::Recover(
     // never leads a second recovery to re-apply it.
     if (inverse) {
       TPM_RETURN_IF_ERROR(LogCompensationIntent(pid, activity));
+    } else if (synchronous &&
+               log_->wal()->size() > log_->wal()->durable_size()) {
+      TPM_RETURN_IF_ERROR(log_->Flush());
     }
     for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
       Result<InvocationOutcome> outcome =
@@ -2049,8 +2079,8 @@ Status TransactionalProcessScheduler::Recover(
     TPM_RETURN_IF_ERROR(FinishProcess(*FindRuntime(pid), /*committed=*/false));
   }
   // Make the records appended during recovery (forward ACTs, terminal
-  // ABORTs) durable before declaring recovery complete — in asynchronous
-  // mode an immediate second crash would otherwise replay from the
+  // ABORTs) durable before declaring recovery complete — they are staged,
+  // so an immediate second crash would otherwise replay from the
   // pre-recovery log and redo work whose effects already reached the
   // subsystems.
   return log_->Flush();

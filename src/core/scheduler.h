@@ -209,6 +209,10 @@ class TransactionalProcessScheduler : private SchedulerView {
   /// process leaves it once it has no predecessors left (pruning).
   bool InSerializationGraph(ProcessId pid) const;
 
+  /// Whether any per-service emitter row names `pid`. Scans every row, so
+  /// it is for tests and diagnostics, not for hot paths.
+  bool InAnyEmitterRow(ProcessId pid) const;
+
   /// Held processes that voted but have not yet received a decision —
   /// they are externally in flight (the runtime's idle accounting must
   /// treat them as busy).
@@ -492,7 +496,7 @@ class TransactionalProcessScheduler : private SchedulerView {
   // Dense per-service emitter index (rows follow spec_'s interning).
   void EnsureEmitterRows();
   void AddEmitter(ServiceId service, ProcessId pid);
-  void RemoveEmitter(ProcessId pid);
+  void RemoveEmitter(const ProcessRuntime& rt);
 
   // Execution steps.
   Result<bool> TryExecuteProcess(ProcessRuntime& rt);

@@ -63,7 +63,7 @@ void SyncParentDir(const std::string& path) {
 
 }  // namespace
 
-std::string FileStorageBackend::EncodeFrame(const std::string& payload) {
+std::string FileStorageBackend::EncodeFrame(std::string_view payload) {
   std::string frame;
   frame.reserve(kFrameHeaderBytes + payload.size());
   PutU32Le(&frame, static_cast<uint32_t>(payload.size()));
@@ -124,7 +124,8 @@ Result<std::unique_ptr<FileStorageBackend>> FileStorageBackend::Open(
       }
       break;
     }
-    backend->records_.emplace_back(payload, length);
+    TPM_RETURN_IF_ERROR(
+        backend->records_.Append(std::string_view(payload, length)));
     offset += kFrameHeaderBytes + length;
   }
 
@@ -136,15 +137,15 @@ Result<std::unique_ptr<FileStorageBackend>> FileStorageBackend::Open(
     if (::fsync(fd) != 0) return ErrnoStatus("fsync", path);
   }
   backend->open_stats_.records_recovered = backend->records_.size();
-  backend->durable_records_ = backend->records_.size();
+  backend->durable_ = backend->records_.end_mark();
   backend->synced_bytes_ = offset;
   return backend;
 }
 
-Status FileStorageBackend::Append(std::string record) {
+Status FileStorageBackend::Append(std::string_view record) {
   if (fd_ < 0) return Status::Unavailable("log file backend is closed");
+  TPM_RETURN_IF_ERROR(records_.Append(record));
   pending_.append(EncodeFrame(record));
-  records_.push_back(std::move(record));
   return Status::OK();
 }
 
@@ -160,19 +161,21 @@ Status FileStorageBackend::Sync() {
     synced_bytes_ += pending_.size();
     pending_.clear();
   }
-  durable_records_ = records_.size();
+  durable_ = records_.end_mark();
   return Status::OK();
 }
 
 Status FileStorageBackend::ReplaceAll(const std::vector<std::string>& records) {
   if (fd_ < 0) return Status::Unavailable("log file backend is closed");
+  RecordArena next;
+  std::string encoded;
+  for (const std::string& record : records) {
+    TPM_RETURN_IF_ERROR(next.Append(record));
+    encoded.append(EncodeFrame(record));
+  }
   const std::string tmp_path = path_ + ".tmp";
   int tmp_fd = ::open(tmp_path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (tmp_fd < 0) return ErrnoStatus("open", tmp_path);
-  std::string encoded;
-  for (const std::string& record : records) {
-    encoded.append(EncodeFrame(record));
-  }
   Status write_status = WriteFully(tmp_fd, encoded.data(), encoded.size(),
                                    tmp_path);
   if (write_status.ok() && ::fsync(tmp_fd) != 0) {
@@ -193,8 +196,8 @@ Status FileStorageBackend::ReplaceAll(const std::vector<std::string>& records) {
   ::close(fd_);
   fd_ = ::open(path_.c_str(), O_RDWR, 0644);
   if (fd_ < 0) return ErrnoStatus("open", path_);
-  records_ = records;
-  durable_records_ = records_.size();
+  records_ = std::move(next);
+  durable_ = records_.end_mark();
   synced_bytes_ = encoded.size();
   pending_.clear();
   return Status::OK();
@@ -204,7 +207,7 @@ void FileStorageBackend::SimulateCrash() {
   // Nothing past the durable prefix ever reached the file; dropping the
   // staged bytes and the volatile record tail is the whole crash.
   pending_.clear();
-  records_.resize(durable_records_);
+  records_.Truncate(durable_);
 }
 
 void FileStorageBackend::SimulateCrashDuringSync() {
@@ -220,7 +223,7 @@ void FileStorageBackend::SimulateCrashDuringSync() {
     }
   }
   pending_.clear();
-  records_.resize(durable_records_);
+  records_.Truncate(durable_);
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "log/storage_backend.h"
@@ -46,11 +47,11 @@ class FileStorageBackend : public StorageBackend {
   FileStorageBackend(const FileStorageBackend&) = delete;
   FileStorageBackend& operator=(const FileStorageBackend&) = delete;
 
-  Status Append(std::string record) override;
+  Status Append(std::string_view record) override;
   Status Sync() override;
   Status ReplaceAll(const std::vector<std::string>& records) override;
-  const std::vector<std::string>& records() const override { return records_; }
-  size_t durable_size() const override { return durable_records_; }
+  const RecordArena& records() const override { return records_; }
+  size_t durable_size() const override { return durable_.records; }
   void SimulateCrash() override;
   void SimulateCrashDuringSync() override;
 
@@ -61,15 +62,15 @@ class FileStorageBackend : public StorageBackend {
 
   /// Encodes one record as a frame (exposed for tests that hand-craft or
   /// corrupt log files).
-  static std::string EncodeFrame(const std::string& payload);
+  static std::string EncodeFrame(std::string_view payload);
 
  private:
   FileStorageBackend(std::string path, int fd);
 
   std::string path_;
   int fd_ = -1;
-  std::vector<std::string> records_;
-  size_t durable_records_ = 0;
+  RecordArena records_;
+  RecordArena::Mark durable_;
   /// Encoded frames staged by Append but not yet written + fsynced.
   std::string pending_;
   uint64_t synced_bytes_ = 0;

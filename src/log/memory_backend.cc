@@ -4,13 +4,12 @@
 
 namespace tpm {
 
-Status MemoryStorageBackend::Append(std::string record) {
-  records_.push_back(std::move(record));
-  return Status::OK();
+Status MemoryStorageBackend::Append(std::string_view record) {
+  return records_.Append(record);
 }
 
 Status MemoryStorageBackend::Sync() {
-  durable_size_ = records_.size();
+  durable_ = records_.end_mark();
   return Status::OK();
 }
 
@@ -19,12 +18,15 @@ Status MemoryStorageBackend::ReplaceAll(
   // Build-then-swap: the replacement becomes visible (and durable) as one
   // unit, so a crash during compaction leaves either the old or the new
   // contents — never a truncated checkpoint.
-  std::vector<std::string> next = records;
-  records_.swap(next);
-  durable_size_ = records_.size();
+  RecordArena next;
+  for (const std::string& record : records) {
+    TPM_RETURN_IF_ERROR(next.Append(record));
+  }
+  records_ = std::move(next);
+  durable_ = records_.end_mark();
   return Status::OK();
 }
 
-void MemoryStorageBackend::SimulateCrash() { records_.resize(durable_size_); }
+void MemoryStorageBackend::SimulateCrash() { records_.Truncate(durable_); }
 
 }  // namespace tpm

@@ -72,10 +72,12 @@ Status RecoveryLog::ReplaceAll(const std::vector<SchedulerLogRecord>& records) {
 
 Result<std::vector<SchedulerLogRecord>> RecoveryLog::Records() const {
   std::vector<SchedulerLogRecord> records;
-  const auto& lines = wal_.records();
-  for (size_t i = 0; i < wal_.durable_size(); ++i) {
+  const size_t durable = wal_.durable_size();
+  records.reserve(durable);
+  for (const std::string& line : wal_.records()) {
+    if (records.size() == durable) break;
     TPM_ASSIGN_OR_RETURN(SchedulerLogRecord record,
-                         SchedulerLogRecord::Parse(lines[i]));
+                         SchedulerLogRecord::Parse(line));
     records.push_back(std::move(record));
   }
   return records;

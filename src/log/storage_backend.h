@@ -2,9 +2,11 @@
 #define TPM_LOG_STORAGE_BACKEND_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
+#include "log/record_arena.h"
 
 namespace tpm {
 
@@ -36,7 +38,7 @@ class StorageBackend {
   virtual ~StorageBackend() = default;
 
   /// Stages one record; volatile until Sync().
-  virtual Status Append(std::string record) = 0;
+  virtual Status Append(std::string_view record) = 0;
 
   /// Durability boundary (fsync for file-backed storage).
   virtual Status Sync() = 0;
@@ -47,7 +49,7 @@ class StorageBackend {
 
   /// All records in append order: durable prefix first, then the volatile
   /// tail.
-  virtual const std::vector<std::string>& records() const = 0;
+  virtual const RecordArena& records() const = 0;
 
   /// Number of records guaranteed to survive a crash.
   virtual size_t durable_size() const = 0;

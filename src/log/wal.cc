@@ -36,13 +36,13 @@ Status Wal::SyncWithHooks() {
   return Status::OK();
 }
 
-Status Wal::Append(std::string record) {
+Status Wal::Append(std::string_view record) {
   if (crashed_) return Status::Unavailable("wal is crashed");
   if (Hit(kWalCrashSiteAppend, /*during_sync=*/false)) {
     return Status::Unavailable("wal crashed before append");
   }
-  TPM_RETURN_IF_ERROR(backend_->Append(std::move(record)));
-  if (synchronous_) return SyncWithHooks();
+  TPM_RETURN_IF_ERROR(backend_->Append(record));
+  if (synchronous_ && !sync_deferred_) return SyncWithHooks();
   return Status::OK();
 }
 

@@ -3,9 +3,11 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
+#include "log/record_arena.h"
 #include "log/storage_backend.h"
 
 namespace tpm {
@@ -22,12 +24,13 @@ inline constexpr const char* kWalCrashSiteReplaced = "wal/replaced";
 /// Append-only write-ahead log over a StorageBackend, with an explicit
 /// durability boundary.
 ///
-/// Records are strings (serialization is the caller's concern). In
-/// synchronous mode every successful Append is immediately durable; in
-/// asynchronous mode appends stay volatile until Flush() — the usual WAL
-/// trade-off between commit latency and loss window. The default backend
-/// is in-memory (simulated stable storage); construct with a
-/// FileStorageBackend for a log that survives a real process death.
+/// Records are strings (serialization is the caller's concern), kept in a
+/// RecordArena. In synchronous mode every successful Append is immediately
+/// durable (outside a DeferSync scope); in asynchronous mode appends stay
+/// volatile until Flush() — the usual WAL trade-off between commit latency
+/// and loss window. The default backend is in-memory (simulated stable
+/// storage); construct with a FileStorageBackend for a log that survives a
+/// real process death.
 ///
 /// Fault injection: an attached CrashPointListener is consulted before and
 /// after each durability-relevant action. When it triggers, the WAL
@@ -40,8 +43,9 @@ class Wal {
   explicit Wal(bool synchronous = true);
   Wal(std::unique_ptr<StorageBackend> backend, bool synchronous = true);
 
-  /// Appends one record. Durable on return in synchronous mode.
-  Status Append(std::string record);
+  /// Appends one record. Durable on return in synchronous mode, unless a
+  /// DeferSync scope is open.
+  Status Append(std::string_view record);
 
   /// Makes all appended records durable.
   Status Flush();
@@ -59,9 +63,7 @@ class Wal {
   void Crash();
 
   /// All records, durable prefix first.
-  const std::vector<std::string>& records() const {
-    return backend_->records();
-  }
+  const RecordArena& records() const { return backend_->records(); }
   size_t durable_size() const { return backend_->durable_size(); }
   size_t size() const { return backend_->size(); }
   bool synchronous() const { return synchronous_; }
@@ -75,6 +77,24 @@ class Wal {
 
   StorageBackend* backend() { return backend_.get(); }
 
+  /// While alive, a synchronous log stages appends as an asynchronous one
+  /// does: they become durable at the next Flush, which the holder places
+  /// wherever its write-ahead rules need a boundary. Ending the scope
+  /// restores per-append syncs; it does not flush.
+  class DeferSync {
+   public:
+    explicit DeferSync(Wal* wal) : wal_(wal), was_(wal->sync_deferred_) {
+      wal_->sync_deferred_ = true;
+    }
+    ~DeferSync() { wal_->sync_deferred_ = was_; }
+    DeferSync(const DeferSync&) = delete;
+    DeferSync& operator=(const DeferSync&) = delete;
+
+   private:
+    Wal* wal_;
+    bool was_;
+  };
+
  private:
   /// Consults the listener; on trigger performs the crash (`during_sync`
   /// selects the torn-tail variant) and returns true.
@@ -83,6 +103,7 @@ class Wal {
 
   std::unique_ptr<StorageBackend> backend_;
   bool synchronous_;
+  bool sync_deferred_ = false;
   bool crashed_ = false;
   CrashPointListener* listener_ = nullptr;
 };

@@ -186,5 +186,64 @@ TEST(SchedulerReclaimTest, ReclaimedStatsMatchUnboundedRun) {
   EXPECT_EQ(bounded_store, unbounded_store);
 }
 
+TEST(SchedulerReclaimTest, NoEmitterRowNamesAPrunedProcess) {
+  // Pruning drops a process from the emitter rows of its own activities'
+  // services only; after every pass, no row may still name a process
+  // that left the serialization graph.
+  for (bool reclaim : {false, true}) {
+    MiniWorld world;
+    const std::vector<const ProcessDef*> defs = {
+        world.MakeChain("e1", "c:a c:b p:c"),
+        world.MakeChain("e2", "c:b r:d"),
+        world.MakeChain("e3", "c:d p:a r:e"),
+    };
+    for (const ProcessDef* def : defs) ASSERT_NE(def, nullptr);
+
+    SchedulerOptions options;
+    options.reclaim_terminated = reclaim;
+    TransactionalProcessScheduler scheduler(options);
+    ASSERT_TRUE(scheduler.RegisterSubsystem(world.subsystem()).ok());
+
+    std::vector<ProcessId> pids;
+    int64_t named = 0;
+    int64_t pruned = 0;
+    auto check_rows = [&] {
+      for (ProcessId pid : pids) {
+        const bool in_rows = scheduler.InAnyEmitterRow(pid);
+        if (in_rows) ++named;
+        if (scheduler.InSerializationGraph(pid)) continue;
+        ++pruned;
+        EXPECT_FALSE(in_rows) << "pruned P" << pid.value()
+                              << " still emits (reclaim=" << reclaim << ")";
+      }
+    };
+    for (int round = 0; round < 30; ++round) {
+      // Batch admission makes every process a graph node up front, so
+      // leaving the graph means being pruned.
+      std::vector<TransactionalProcessScheduler::BatchSubmission> batch;
+      for (const ProcessDef* def : defs) batch.push_back({def, 0});
+      for (const Result<ProcessId>& pid : scheduler.SubmitBatch(batch)) {
+        ASSERT_TRUE(pid.ok()) << pid.status().ToString();
+        pids.push_back(*pid);
+      }
+      for (int pass = 0; pass < 100; ++pass) {
+        Result<bool> more = scheduler.Step();
+        ASSERT_TRUE(more.ok()) << more.status().ToString();
+        check_rows();
+        if (!*more) break;
+      }
+    }
+    ASSERT_TRUE(scheduler.Run().ok());
+    check_rows();
+    // Both sides were exercised: rows named live processes, and processes
+    // were pruned.
+    EXPECT_GT(named, 0) << "reclaim=" << reclaim;
+    EXPECT_GT(pruned, 0) << "reclaim=" << reclaim;
+    EXPECT_EQ(scheduler.stats().processes_committed +
+                  scheduler.stats().processes_aborted,
+              90);
+  }
+}
+
 }  // namespace
 }  // namespace tpm

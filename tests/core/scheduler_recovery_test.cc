@@ -1,6 +1,15 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/str_util.h"
 #include "core/scheduler.h"
+#include "log/file_backend.h"
+#include "testing/fault_injector.h"
 #include "testing/mini_world.h"
 
 namespace tpm {
@@ -234,6 +243,75 @@ TEST(SchedulerRecoveryTest, CheckpointPreservesCompensatedState) {
 TEST(SchedulerRecoveryTest, CheckpointWithoutLogFails) {
   TransactionalProcessScheduler scheduler;
   EXPECT_TRUE(scheduler.Checkpoint().IsFailedPrecondition());
+}
+
+TEST(SchedulerRecoveryTest, GroupAbortSyncsOnlyBeforeSubsystemInvocations) {
+  // The group abort stages its ABORT, forward ACT and COMP records and
+  // syncs the log only before each subsystem invocation and once at the
+  // end — on both backends of a synchronous log.
+  const std::string path = ::testing::TempDir() + "tpm_recovery_syncs_" +
+                           StrCat(::getpid()) + ".log";
+  for (bool on_file : {false, true}) {
+    std::remove(path.c_str());
+    MiniWorld world;
+    std::unique_ptr<RecoveryLog> log;
+    if (on_file) {
+      auto backend = FileStorageBackend::Open(path);
+      ASSERT_TRUE(backend.ok()) << backend.status().ToString();
+      log = std::make_unique<RecoveryLog>(std::move(*backend));
+    } else {
+      log = std::make_unique<RecoveryLog>();
+    }
+    // Two processes to roll back (two compensations each) and two to roll
+    // forward (two retriable steps each), on disjoint keys.
+    std::vector<const ProcessDef*> defs;
+    for (int i = 0; i < 2; ++i) {
+      defs.push_back(world.MakeChain(
+          StrCat("back", i),
+          StrCat("c:a", i, " c:b", i, " c:d", i, " p:x", i)));
+      defs.push_back(world.MakeChain(
+          StrCat("fwd", i),
+          StrCat("c:e", i, " p:f", i, " r:g", i, " r:h", i)));
+    }
+    TransactionalProcessScheduler scheduler({}, log.get());
+    ASSERT_TRUE(scheduler.RegisterSubsystem(world.subsystem()).ok());
+    for (const ProcessDef* def : defs) {
+      ASSERT_NE(def, nullptr);
+      ASSERT_TRUE(scheduler.Submit(def).ok());
+    }
+    ASSERT_TRUE(scheduler.Step().ok());
+    ASSERT_TRUE(scheduler.Step().ok());
+    ASSERT_EQ(world.Value("b0"), 1);
+    ASSERT_EQ(world.Value("f1"), 1);
+    scheduler.Crash();
+
+    testing::FaultInjector counter;  // never armed: counts hits only
+    log->wal()->SetCrashPointListener(&counter);
+    const size_t records_before = log->size();
+    const int64_t invocations_before = world.subsystem()->invocations();
+    ASSERT_TRUE(scheduler.Recover(world.DefsByName()).ok());
+    const int64_t invocations =
+        world.subsystem()->invocations() - invocations_before;
+    const int64_t appended =
+        static_cast<int64_t>(log->size() - records_before);
+    const auto sync_hits = counter.site_hits().find(kWalCrashSiteSync);
+    ASSERT_NE(sync_hits, counter.site_hits().end());
+
+    // 4 compensations + 4 forward steps; 4 COMP + 4 ACT + 4 ABORT records.
+    EXPECT_EQ(invocations, 8) << "on_file=" << on_file;
+    EXPECT_EQ(appended, 12) << "on_file=" << on_file;
+    EXPECT_LE(sync_hits->second, invocations + 1) << "on_file=" << on_file;
+    EXPECT_LT(sync_hits->second, appended) << "on_file=" << on_file;
+    // Everything recovery appended is durable on return.
+    EXPECT_EQ(log->wal()->durable_size(), log->size());
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_EQ(world.Value(StrCat("a", i)), 0);
+      EXPECT_EQ(world.Value(StrCat("b", i)), 0);
+      EXPECT_EQ(world.Value(StrCat("h", i)), 1);
+    }
+    log->wal()->SetCrashPointListener(nullptr);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/str_util.h"
 #include "log/wal.h"
@@ -43,6 +44,13 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   out << bytes;
 }
 
+using Lines = std::vector<std::string>;
+
+/// Every record held by `records`, in order.
+Lines Contents(const RecordArena& records) {
+  return Lines(records.begin(), records.end());
+}
+
 TEST(FileStorageBackendTest, RoundTripsAcrossReopen) {
   TempLogPath path("roundtrip");
   {
@@ -57,8 +65,8 @@ TEST(FileStorageBackendTest, RoundTripsAcrossReopen) {
   ASSERT_TRUE(reopened.ok());
   // Only the synced prefix survives the (simulated) process death.
   ASSERT_EQ((*reopened)->records().size(), 2u);
-  EXPECT_EQ((*reopened)->records()[0], "alpha");
-  EXPECT_EQ((*reopened)->records()[1], "beta|with|separators");
+  EXPECT_EQ(Contents((*reopened)->records()),
+            (Lines{"alpha", "beta|with|separators"}));
   EXPECT_EQ((*reopened)->durable_size(), 2u);
   EXPECT_EQ((*reopened)->open_stats().records_recovered, 2u);
 }
@@ -88,7 +96,7 @@ TEST(FileStorageBackendTest, TornTailTruncatedOnOpen) {
   auto reopened = FileStorageBackend::Open(path.get());
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   ASSERT_EQ((*reopened)->records().size(), 1u);
-  EXPECT_EQ((*reopened)->records()[0], "first");
+  EXPECT_EQ(Contents((*reopened)->records()), Lines{"first"});
   EXPECT_EQ((*reopened)->open_stats().torn_bytes_truncated, torn.size());
   // The torn bytes are physically gone: a fresh append then reopen yields
   // exactly [first, third].
@@ -97,7 +105,7 @@ TEST(FileStorageBackendTest, TornTailTruncatedOnOpen) {
   auto again = FileStorageBackend::Open(path.get());
   ASSERT_TRUE(again.ok());
   ASSERT_EQ((*again)->records().size(), 2u);
-  EXPECT_EQ((*again)->records()[1], "third");
+  EXPECT_EQ(Contents((*again)->records()), (Lines{"first", "third"}));
   EXPECT_EQ((*again)->open_stats().torn_bytes_truncated, 0u);
 }
 
@@ -118,7 +126,7 @@ TEST(FileStorageBackendTest, CorruptTailFrameRejectedByCrc) {
   auto reopened = FileStorageBackend::Open(path.get());
   ASSERT_TRUE(reopened.ok());
   ASSERT_EQ((*reopened)->records().size(), 1u);
-  EXPECT_EQ((*reopened)->records()[0], "keep-me");
+  EXPECT_EQ(Contents((*reopened)->records()), Lines{"keep-me"});
   EXPECT_GT((*reopened)->open_stats().torn_bytes_truncated, 0u);
 }
 
@@ -160,9 +168,8 @@ TEST(FileStorageBackendTest, ReplaceAllSurvivesReopenAndDropsOldContents) {
   auto reopened = FileStorageBackend::Open(path.get());
   ASSERT_TRUE(reopened.ok());
   ASSERT_EQ((*reopened)->records().size(), 3u);
-  EXPECT_EQ((*reopened)->records()[0], "compact-a");
-  EXPECT_EQ((*reopened)->records()[1], "compact-b");
-  EXPECT_EQ((*reopened)->records()[2], "post-compact");
+  EXPECT_EQ(Contents((*reopened)->records()),
+            (Lines{"compact-a", "compact-b", "post-compact"}));
 }
 
 TEST(FileStorageBackendTest, StaleCompactionTempFileIgnored) {
@@ -180,7 +187,65 @@ TEST(FileStorageBackendTest, StaleCompactionTempFileIgnored) {
   auto reopened = FileStorageBackend::Open(path.get());
   ASSERT_TRUE(reopened.ok());
   ASSERT_EQ((*reopened)->records().size(), 1u);
-  EXPECT_EQ((*reopened)->records()[0], "durable");
+  EXPECT_EQ(Contents((*reopened)->records()), Lines{"durable"});
+}
+
+TEST(FileStorageBackendTest, CrashTruncatesToDurableMark) {
+  TempLogPath path("crash_mark");
+  const std::string big(RecordArena::kBlockBytes + 11, 'y');
+  auto backend = FileStorageBackend::Open(path.get());
+  ASSERT_TRUE(backend.ok());
+  ASSERT_TRUE((*backend)->Append("head|").ok());
+  ASSERT_TRUE((*backend)->Append(big).ok());
+  ASSERT_TRUE((*backend)->Sync().ok());
+  ASSERT_TRUE((*backend)->Append(big + "lost").ok());
+  (*backend)->SimulateCrash();
+  EXPECT_EQ(Contents((*backend)->records()), (Lines{"head|", big}));
+  // The backend stays usable; the next sync appends after the mark.
+  ASSERT_TRUE((*backend)->Append("").ok());
+  ASSERT_TRUE((*backend)->Sync().ok());
+  auto reopened = FileStorageBackend::Open(path.get());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(Contents((*reopened)->records()), (Lines{"head|", big, ""}));
+  EXPECT_EQ((*reopened)->open_stats().torn_bytes_truncated, 0u);
+}
+
+TEST(FileStorageBackendTest, CrashDuringSyncTearsTailThatReopenDrops) {
+  TempLogPath path("crash_sync");
+  const std::string big(2 * RecordArena::kBlockBytes, 'z');
+  {
+    auto backend = FileStorageBackend::Open(path.get());
+    ASSERT_TRUE(backend.ok());
+    ASSERT_TRUE((*backend)->Append(big).ok());
+    ASSERT_TRUE((*backend)->Append("|").ok());
+    ASSERT_TRUE((*backend)->Sync().ok());
+    ASSERT_TRUE((*backend)->Append(big + "torn").ok());
+    (*backend)->SimulateCrashDuringSync();
+    EXPECT_EQ(Contents((*backend)->records()), (Lines{big, "|"}));
+    EXPECT_EQ((*backend)->durable_size(), 2u);
+  }
+  auto reopened = FileStorageBackend::Open(path.get());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(Contents((*reopened)->records()), (Lines{big, "|"}));
+  EXPECT_GT((*reopened)->open_stats().torn_bytes_truncated, 0u);
+}
+
+TEST(FileStorageBackendTest, ReplaceAllWithLargeRecordsThenReopen) {
+  TempLogPath path("compact_large");
+  const Lines replacement = {std::string(RecordArena::kBlockBytes - 1, 'c'),
+                             "", "x|y", std::string(300, 'd')};
+  {
+    auto backend = FileStorageBackend::Open(path.get());
+    ASSERT_TRUE(backend.ok());
+    ASSERT_TRUE((*backend)->Append("old").ok());
+    ASSERT_TRUE((*backend)->Sync().ok());
+    ASSERT_TRUE((*backend)->ReplaceAll(replacement).ok());
+    EXPECT_EQ(Contents((*backend)->records()), replacement);
+    EXPECT_EQ((*backend)->durable_size(), replacement.size());
+  }
+  auto reopened = FileStorageBackend::Open(path.get());
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(Contents((*reopened)->records()), replacement);
 }
 
 TEST(FileStorageBackendTest, WalOverFileBackendLosesUnsyncedTail) {
@@ -194,7 +259,7 @@ TEST(FileStorageBackendTest, WalOverFileBackendLosesUnsyncedTail) {
   EXPECT_EQ(wal.durable_size(), 1u);
   wal.Crash();
   ASSERT_EQ(wal.size(), 1u);
-  EXPECT_EQ(wal.records()[0], "a");
+  EXPECT_EQ(Contents(wal.records()), Lines{"a"});
 }
 
 }  // namespace
