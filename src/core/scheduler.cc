@@ -39,66 +39,10 @@ Status TransactionalProcessScheduler::RegisterSubsystem(Subsystem* subsystem) {
   return Status::OK();
 }
 
-Status TransactionalProcessScheduler::UnregisterSubsystem(
-    Subsystem* subsystem) {
-  CheckThread("UnregisterSubsystem");
-  if (subsystem == nullptr) return Status::InvalidArgument("null subsystem");
-  auto slot = std::find(subsystems_.begin(), subsystems_.end(), subsystem);
-  if (slot == subsystems_.end()) {
-    return Status::NotFound(
-        StrCat("subsystem '", subsystem->name(), "' is not registered"));
-  }
-  const auto touches = [&](ServiceId service) {
-    if (!service.valid()) return false;
-    auto it = routing_.find(service);
-    return it != routing_.end() && it->second == subsystem;
-  };
-  for (ProcessId pid : active_pids_) {
-    const ProcessRuntime* rt = FindRuntime(pid);
-    if (rt == nullptr || rt->def == nullptr) continue;
-    for (const ActivityDecl& decl : rt->def->activities()) {
-      if (touches(decl.service) || touches(decl.compensation_service)) {
-        return Status::FailedPrecondition(StrCat(
-            "subsystem '", subsystem->name(), "': active process ",
-            pid.value(), " still touches its services (quiesce first)"));
-      }
-    }
-  }
-  for (auto it = routing_.begin(); it != routing_.end();) {
-    it = it->second == subsystem ? routing_.erase(it) : std::next(it);
-  }
-  const size_t index = static_cast<size_t>(slot - subsystems_.begin());
-  subsystems_.erase(slot);
-  if (index < breaker_seen_.size()) {
-    breaker_seen_.erase(breaker_seen_.begin() +
-                        static_cast<std::ptrdiff_t>(index));
-  }
-  // The memoized admission checks embed "every service routed here"; a
-  // shrunken routing table invalidates them wholesale.
-  validated_defs_.clear();
-  return Status::OK();
-}
-
 void TransactionalProcessScheduler::AddConflict(ServiceId a, ServiceId b) {
   CheckThread("AddConflict");
   spec_.AddConflict(a, b);
   EnsureEmitterRows();
-}
-
-int64_t TransactionalProcessScheduler::ReservePidRange(int64_t count) {
-  CheckThread("ReservePidRange");
-  const int64_t base = next_pid_;
-  next_pid_ += count;
-  return base;
-}
-
-void TransactionalProcessScheduler::ForEachActiveDef(
-    const std::function<void(ProcessId, const ProcessDef*)>& fn) const {
-  CheckThread("ForEachActiveDef");
-  for (ProcessId pid : active_pids_) {
-    const ProcessRuntime* rt = FindRuntime(pid);
-    if (rt != nullptr) fn(pid, rt->def);
-  }
 }
 
 Result<Subsystem*> TransactionalProcessScheduler::RouteService(
@@ -279,21 +223,12 @@ Result<ProcessId> TransactionalProcessScheduler::Submit(
     std::vector<ProcessDependency> dependencies) {
   CheckThread("Submit");
   DrainReclaimables();
-  if (def == nullptr || !def->validated()) {
-    return Status::InvalidArgument("process definition missing/unvalidated");
-  }
+  TPM_RETURN_IF_ERROR(ValidateDef(def));
   if (options_.reclaim_terminated && !dependencies.empty()) {
     // A dependency pins its target runtime (the execution path dereferences
     // it unchecked), which the reclaim protocol cannot guarantee.
     return Status::InvalidArgument(
         "inter-process dependencies are unsupported with reclaim_terminated");
-  }
-  TPM_RETURN_IF_ERROR(ValidateWellFormedFlex(*def));
-  for (const ActivityDecl& decl : def->activities()) {
-    TPM_RETURN_IF_ERROR(RouteService(decl.service).status());
-    if (decl.compensation_service.valid()) {
-      TPM_RETURN_IF_ERROR(RouteService(decl.compensation_service).status());
-    }
   }
   for (const ProcessDependency& dep : dependencies) {
     const ProcessRuntime* other = FindRuntime(dep.process);
@@ -306,23 +241,13 @@ Result<ProcessId> TransactionalProcessScheduler::Submit(
                                      dep.activity, " of P", dep.process));
     }
   }
-  ProcessId pid(next_pid_++);
-  std::unique_ptr<ProcessRuntime> runtime = AcquireRuntime(pid, def);
-  runtime->param = param;
-  runtime->dependencies = std::move(dependencies);
-  runtime->submitted_at = clock_->now();
-  for (ActivityId root : def->Roots()) runtime->ready.insert(root);
-  TPM_RETURN_IF_ERROR(history_.AddProcess(pid, def));
-  if (log_ != nullptr) {
-    TPM_RETURN_IF_ERROR(log_->Append({SchedulerLogRecord::Kind::kProcessBegin,
-                                      pid, ActivityId(), def->name(), param}));
-  }
-  EmplaceRuntime(pid, std::move(runtime));
+  const ProcessId pid(next_pid_++);
+  TPM_RETURN_IF_ERROR(
+      MaterializeProcess(pid, def, param, std::move(dependencies)));
   return pid;
 }
 
-Status TransactionalProcessScheduler::ValidateDefForBatch(
-    const ProcessDef* def) {
+Status TransactionalProcessScheduler::ValidateDef(const ProcessDef* def) {
   if (def == nullptr || !def->validated()) {
     return Status::InvalidArgument("process definition missing/unvalidated");
   }
@@ -338,6 +263,28 @@ Status TransactionalProcessScheduler::ValidateDefForBatch(
   return Status::OK();
 }
 
+Status TransactionalProcessScheduler::MaterializeProcess(
+    ProcessId pid, const ProcessDef* def, int64_t param,
+    std::vector<ProcessDependency> dependencies) {
+  sg_.AddNode(pid);
+  std::unique_ptr<ProcessRuntime> runtime = AcquireRuntime(pid, def);
+  runtime->param = param;
+  runtime->dependencies = std::move(dependencies);
+  runtime->submitted_at = clock_->now();
+  for (ActivityId root : def->Roots()) runtime->ready.insert(root);
+  Status recorded = history_.AddProcess(pid, def);
+  if (recorded.ok() && log_ != nullptr) {
+    recorded = log_->Append({SchedulerLogRecord::Kind::kProcessBegin, pid,
+                             ActivityId(), def->name(), param});
+  }
+  if (!recorded.ok()) {
+    sg_.RemoveNode(pid);
+    return recorded;
+  }
+  EmplaceRuntime(pid, std::move(runtime));
+  return Status::OK();
+}
+
 std::vector<Result<ProcessId>> TransactionalProcessScheduler::SubmitBatch(
     const std::vector<BatchSubmission>& batch) {
   CheckThread("SubmitBatch");
@@ -350,7 +297,7 @@ std::vector<Result<ProcessId>> TransactionalProcessScheduler::SubmitBatch(
   std::vector<size_t> valid;
   valid.reserve(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
-    Status checked = ValidateDefForBatch(batch[i].def);
+    Status checked = ValidateDef(batch[i].def);
     if (checked.ok()) {
       valid.push_back(i);
     } else {
@@ -386,25 +333,14 @@ std::vector<Result<ProcessId>> TransactionalProcessScheduler::SubmitBatch(
   // batch order — the record sequence is exactly the per-process one.
   size_t k = 0;
   for (size_t i : valid) {
-    const ProcessDef* def = batch[i].def;
     const ProcessId pid = fresh[k++];
-    std::unique_ptr<ProcessRuntime> runtime = AcquireRuntime(pid, def);
-    runtime->param = batch[i].param;
-    runtime->submitted_at = clock_->now();
-    for (ActivityId root : def->Roots()) runtime->ready.insert(root);
-    Status recorded = history_.AddProcess(pid, def);
-    if (recorded.ok() && log_ != nullptr) {
-      recorded =
-          log_->Append({SchedulerLogRecord::Kind::kProcessBegin, pid,
-                        ActivityId(), def->name(), batch[i].param});
+    Status materialized =
+        MaterializeProcess(pid, batch[i].def, batch[i].param, {});
+    if (materialized.ok()) {
+      results[i] = pid;
+    } else {
+      results[i] = materialized;
     }
-    if (!recorded.ok()) {
-      sg_.RemoveNode(pid);
-      results[i] = recorded;
-      continue;
-    }
-    EmplaceRuntime(pid, std::move(runtime));
-    results[i] = pid;
   }
   return results;
 }

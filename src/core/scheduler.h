@@ -112,14 +112,6 @@ class TransactionalProcessScheduler : private SchedulerView {
   /// must outlive the scheduler.
   Status RegisterSubsystem(Subsystem* subsystem);
 
-  /// Removes a registered subsystem: its services stop being routable
-  /// here (elastic migration moves the subsystem to another shard's
-  /// scheduler). Fails with FailedPrecondition while any active process's
-  /// footprint touches one of its services — the caller must quiesce
-  /// first. The conflict spec keeps the services interned: dense indices
-  /// are append-only, so history analyses over past emitters stay valid.
-  Status UnregisterSubsystem(Subsystem* subsystem);
-
   /// Adds a conflict beyond those derived from read/write sets.
   void AddConflict(ServiceId a, ServiceId b);
 
@@ -318,19 +310,6 @@ class TransactionalProcessScheduler : private SchedulerView {
   Status Recover(const std::map<std::string, const ProcessDef*>& defs_by_name,
                  const RecoverDirectives* directives = nullptr);
 
-  /// Reserves `count` consecutive pids and returns the first. The elastic
-  /// migration engine renumbers an imported WAL segment into the reserved
-  /// range before replaying it here, so imported pids can never collide
-  /// with organically admitted ones — and an aborted import strips exactly
-  /// [base, base + count). An unused reservation is a harmless pid gap.
-  int64_t ReservePidRange(int64_t count);
-
-  /// Visits every active (non-terminated) process with its definition, in
-  /// ascending pid order — the migration engine's quiesce poll ("any live
-  /// process still touching this component?") without exposing runtimes.
-  void ForEachActiveDef(
-      const std::function<void(ProcessId, const ProcessDef*)>& fn) const;
-
   /// Log compaction: atomically rewrites the recovery log to the minimal
   /// set of records describing the current in-flight processes (terminated
   /// processes vanish — their effects are durable in the subsystems).
@@ -464,11 +443,19 @@ class TransactionalProcessScheduler : private SchedulerView {
     affinity_.CheckOrDie("TransactionalProcessScheduler", site);
   }
 
-  /// Submit's per-definition admission checks (well-formed flex structure
-  /// + every service routed), memoized per ProcessDef pointer for the
-  /// batch path. Only success is cached: a definition that fails routing
-  /// now may pass after more subsystems register.
-  Status ValidateDefForBatch(const ProcessDef* def);
+  /// The per-definition admission checks of Submit and SubmitBatch
+  /// (validated, well-formed flex structure, every service routed),
+  /// memoized per ProcessDef pointer. Only success is cached: a definition
+  /// that fails routing now may pass after more subsystems register.
+  Status ValidateDef(const ProcessDef* def);
+
+  /// The one admission step of Submit, SubmitHeld and SubmitBatch: interns
+  /// `pid` as a serialization-graph node, then creates its runtime, its
+  /// history entry and its BEGIN log record. On a history or log failure
+  /// the node is removed again and nothing else is kept.
+  Status MaterializeProcess(ProcessId pid, const ProcessDef* def,
+                            int64_t param,
+                            std::vector<ProcessDependency> dependencies);
 
   // Dense runtime table: slot pid.value() - 1 (pids are handed out
   // sequentially from 1; Recover re-creates the original pids).
@@ -574,8 +561,8 @@ class TransactionalProcessScheduler : private SchedulerView {
   std::set<std::pair<int64_t, int64_t>> cascade_counted_;
   ProcessSchedule history_;
   int64_t next_pid_ = 1;
-  /// Definitions that already passed Submit's admission checks (see
-  /// ValidateDefForBatch). Keyed by pointer: the lifetime contract —
+  /// Definitions that already passed the admission checks (see
+  /// ValidateDef). Keyed by pointer: the lifetime contract —
   /// definitions outlive their processes and are immutable once
   /// validated — is what makes the memoization sound.
   std::set<const ProcessDef*> validated_defs_;

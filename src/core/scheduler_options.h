@@ -1,7 +1,10 @@
 #ifndef TPM_CORE_SCHEDULER_OPTIONS_H_
 #define TPM_CORE_SCHEDULER_OPTIONS_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <map>
 
 #include "common/fingerprint.h"
@@ -192,86 +195,92 @@ struct SchedulerStats {
   /// additive except virtual_time, which is a makespan and therefore
   /// merges as the maximum over the shards' clocks (with one shard this is
   /// the identity, so merged single-shard stats equal the solo run's).
-  void MergeFrom(const SchedulerStats& other) {
-    const int64_t makespan =
-        virtual_time > other.virtual_time ? virtual_time : other.virtual_time;
-    steps += other.steps;
-    virtual_time = makespan;
-    activities_committed += other.activities_committed;
-    failed_invocations += other.failed_invocations;
-    compensations += other.compensations;
-    deferrals += other.deferrals;
-    blocked_by_locks += other.blocked_by_locks;
-    alternatives_taken += other.alternatives_taken;
-    processes_committed += other.processes_committed;
-    processes_aborted += other.processes_aborted;
-    deadlock_victims += other.deadlock_victims;
-    prepared_branches += other.prepared_branches;
-    quasi_commit_admissions += other.quasi_commit_admissions;
-    cascading_aborts += other.cascading_aborts;
-    irrecoverable_cascades += other.irrecoverable_cascades;
-    commit_waits += other.commit_waits;
-    forced_executions += other.forced_executions;
-    certified_violations += other.certified_violations;
-    recovered_log_anomalies += other.recovered_log_anomalies;
-    breaker_trips += other.breaker_trips;
-    deadline_failures += other.deadline_failures;
-    parked_activities += other.parked_activities;
-    resumed_activities += other.resumed_activities;
-    degraded_switches += other.degraded_switches;
-    spanning_admitted += other.spanning_admitted;
-    cross_shard_prepares += other.cross_shard_prepares;
-    in_doubt_resolved += other.in_doubt_resolved;
-  }
-
-  friend bool operator==(const SchedulerStats&,
-                         const SchedulerStats&) = default;
+  void MergeFrom(const SchedulerStats& other);
 
   /// FNV-1a digest of the counter deltas since `base` — the stats component
   /// of a replica's vote. Deltas rather than absolutes so a respawned
   /// replica (which re-baselines at adoption) votes comparably with peers
   /// that carry history from before the respawn. With a default-constructed
   /// base this hashes the absolute values.
-  ///
-  /// Maintenance note: the counter list appears in MergeFrom, operator==
-  /// (implicitly) and here — a new counter must be added to all three.
   uint64_t Fingerprint() const { return FingerprintSince(SchedulerStats{}); }
 
-  uint64_t FingerprintSince(const SchedulerStats& base) const {
-    uint64_t h = kFnv1aOffsetBasis;
-    auto fold = [&h](int64_t now, int64_t then) {
-      h = Fnv1aInt(h, static_cast<uint64_t>(now - then));
-    };
-    fold(steps, base.steps);
-    fold(virtual_time, base.virtual_time);
-    fold(activities_committed, base.activities_committed);
-    fold(failed_invocations, base.failed_invocations);
-    fold(compensations, base.compensations);
-    fold(deferrals, base.deferrals);
-    fold(blocked_by_locks, base.blocked_by_locks);
-    fold(alternatives_taken, base.alternatives_taken);
-    fold(processes_committed, base.processes_committed);
-    fold(processes_aborted, base.processes_aborted);
-    fold(deadlock_victims, base.deadlock_victims);
-    fold(prepared_branches, base.prepared_branches);
-    fold(quasi_commit_admissions, base.quasi_commit_admissions);
-    fold(cascading_aborts, base.cascading_aborts);
-    fold(irrecoverable_cascades, base.irrecoverable_cascades);
-    fold(commit_waits, base.commit_waits);
-    fold(forced_executions, base.forced_executions);
-    fold(certified_violations, base.certified_violations);
-    fold(recovered_log_anomalies, base.recovered_log_anomalies);
-    fold(breaker_trips, base.breaker_trips);
-    fold(deadline_failures, base.deadline_failures);
-    fold(parked_activities, base.parked_activities);
-    fold(resumed_activities, base.resumed_activities);
-    fold(degraded_switches, base.degraded_switches);
-    fold(spanning_admitted, base.spanning_admitted);
-    fold(cross_shard_prepares, base.cross_shard_prepares);
-    fold(in_doubt_resolved, base.in_doubt_resolved);
-    return h;
-  }
+  uint64_t FingerprintSince(const SchedulerStats& base) const;
 };
+
+/// The counter table: every SchedulerStats field, in fingerprint order.
+/// MergeFrom, operator== and FingerprintSince all walk it, so a new counter
+/// is a field plus one entry here (the checks below catch a field left out
+/// or listed twice).
+inline constexpr int64_t SchedulerStats::* kSchedulerStatsCounters[] = {
+    &SchedulerStats::steps,
+    &SchedulerStats::virtual_time,
+    &SchedulerStats::activities_committed,
+    &SchedulerStats::failed_invocations,
+    &SchedulerStats::compensations,
+    &SchedulerStats::deferrals,
+    &SchedulerStats::blocked_by_locks,
+    &SchedulerStats::alternatives_taken,
+    &SchedulerStats::processes_committed,
+    &SchedulerStats::processes_aborted,
+    &SchedulerStats::deadlock_victims,
+    &SchedulerStats::prepared_branches,
+    &SchedulerStats::quasi_commit_admissions,
+    &SchedulerStats::cascading_aborts,
+    &SchedulerStats::irrecoverable_cascades,
+    &SchedulerStats::commit_waits,
+    &SchedulerStats::forced_executions,
+    &SchedulerStats::certified_violations,
+    &SchedulerStats::recovered_log_anomalies,
+    &SchedulerStats::breaker_trips,
+    &SchedulerStats::deadline_failures,
+    &SchedulerStats::parked_activities,
+    &SchedulerStats::resumed_activities,
+    &SchedulerStats::degraded_switches,
+    &SchedulerStats::spanning_admitted,
+    &SchedulerStats::cross_shard_prepares,
+    &SchedulerStats::in_doubt_resolved,
+};
+static_assert(sizeof(SchedulerStats) ==
+                  sizeof(int64_t) * std::size(kSchedulerStatsCounters),
+              "every SchedulerStats field must be in kSchedulerStatsCounters");
+static_assert(
+    [] {
+      for (size_t i = 0; i < std::size(kSchedulerStatsCounters); ++i) {
+        for (size_t j = i + 1; j < std::size(kSchedulerStatsCounters); ++j) {
+          if (kSchedulerStatsCounters[i] == kSchedulerStatsCounters[j]) {
+            return false;
+          }
+        }
+      }
+      return true;
+    }(),
+    "kSchedulerStatsCounters lists a field twice");
+
+inline void SchedulerStats::MergeFrom(const SchedulerStats& other) {
+  for (int64_t SchedulerStats::*counter : kSchedulerStatsCounters) {
+    if (counter == &SchedulerStats::virtual_time) {
+      virtual_time = std::max(virtual_time, other.virtual_time);
+    } else {
+      this->*counter += other.*counter;
+    }
+  }
+}
+
+inline bool operator==(const SchedulerStats& a, const SchedulerStats& b) {
+  for (int64_t SchedulerStats::*counter : kSchedulerStatsCounters) {
+    if (a.*counter != b.*counter) return false;
+  }
+  return true;
+}
+
+inline uint64_t SchedulerStats::FingerprintSince(
+    const SchedulerStats& base) const {
+  uint64_t h = kFnv1aOffsetBasis;
+  for (int64_t SchedulerStats::*counter : kSchedulerStatsCounters) {
+    h = Fnv1aInt(h, static_cast<uint64_t>(this->*counter - base.*counter));
+  }
+  return h;
+}
 
 }  // namespace tpm
 

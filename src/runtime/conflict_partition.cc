@@ -49,13 +49,6 @@ int ConflictPartition::ShardOfService(const ConflictSpec& spec,
   return shard_of[index];
 }
 
-int ConflictPartition::ComponentOfService(const ConflictSpec& spec,
-                                          ServiceId service) const {
-  const int index = spec.IndexOf(service);
-  if (index < 0 || index >= static_cast<int>(component_of.size())) return -1;
-  return component_of[index];
-}
-
 Result<ConflictPartition> ComputeConflictPartition(
     const ConflictSpec& spec, int num_shards,
     const ColocationGroups& colocate) {

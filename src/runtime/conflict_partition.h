@@ -49,11 +49,6 @@ struct ConflictPartition {
   /// Owning shard of `service`, or -1 if the service is not interned in
   /// `spec` (i.e. was never registered with the runtime).
   int ShardOfService(const ConflictSpec& spec, ServiceId service) const;
-
-  /// Conflict component of `service`, or -1 if not interned in `spec`.
-  /// The component is the unit the elastic runtime migrates between
-  /// shards; unlike shard ownership it never changes after Start.
-  int ComponentOfService(const ConflictSpec& spec, ServiceId service) const;
 };
 
 /// Groups of services that must land on the same shard for *physical*

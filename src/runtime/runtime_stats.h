@@ -44,18 +44,6 @@ struct RuntimeStats {
   /// Producer-side submission-queue depth per shard (approximate by
   /// nature — workers drain concurrently).
   std::vector<size_t> queue_depths;
-  /// Elastic counters (all zero when the elastic runtime is off).
-  /// Migrations by terminal state; started >= completed + aborted while
-  /// one is in flight.
-  int64_t migrations_started = 0;
-  int64_t migrations_completed = 0;
-  int64_t migrations_aborted = 0;
-  /// Wall time of the completed migrations, summed.
-  double migration_s = 0;
-  /// Shards currently parked (DPM sleep).
-  int64_t shards_parked = 0;
-  /// Non-noop decisions the elastic controller has applied.
-  int64_t rebalance_decisions = 0;
 };
 
 }  // namespace tpm

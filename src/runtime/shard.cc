@@ -1,6 +1,5 @@
 #include "runtime/shard.h"
 
-#include <chrono>
 #include <utility>
 #include <vector>
 
@@ -16,10 +15,6 @@ RuntimeShard::~RuntimeShard() { Stop(); }
 
 Status RuntimeShard::Init() {
   if (options_.replication.factor > 1) {
-    if (options_.probe != nullptr) {
-      return Status::InvalidArgument(
-          "elastic probe is not supported on a replicated shard");
-    }
     ReplicaGroup::Options group_options;
     group_options.shard_index = options_.index;
     group_options.replication = options_.replication;
@@ -86,56 +81,15 @@ void RuntimeShard::Start() {
 }
 
 Status RuntimeShard::EnqueueSubmission(Submission submission) {
-  return EnqueueSubmission(std::move(submission), options_.backpressure);
-}
-
-Status RuntimeShard::EnqueueSubmission(Submission submission,
-                                       BackpressurePolicy policy) {
-  TPM_RETURN_IF_ERROR(queue_.Push(std::move(submission), policy));
+  TPM_RETURN_IF_ERROR(
+      queue_.Push(std::move(submission), options_.backpressure));
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Wake a free-running worker; in lockstep the next granted tick
     // drains the queue.
   }
   cv_worker_.notify_all();
-  // Routed traffic resumes a parked shard (DPM wake-on-work).
-  Unpark();
   return Status::OK();
-}
-
-Status RuntimeShard::Park() {
-  if (options_.mode == TickMode::kLockstep) {
-    return Status::FailedPrecondition(
-        "cannot park a lockstep shard (it would stall the tick barrier)");
-  }
-  if (group_ != nullptr) {
-    return Status::FailedPrecondition(
-        "cannot park a replicated shard");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  parked_ = true;
-  return Status::OK();
-}
-
-bool RuntimeShard::Unpark() {
-  bool transitioned = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (parked_) {
-      parked_ = false;
-      transitioned = true;
-    }
-  }
-  if (transitioned) {
-    cv_worker_.notify_all();
-    if (options_.on_unpark) options_.on_unpark(options_.index);
-  }
-  return transitioned;
-}
-
-bool RuntimeShard::parked() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return parked_;
 }
 
 void RuntimeShard::PostAgentOp(std::function<void()> op) {
@@ -267,9 +221,6 @@ void RuntimeShard::PublishStats() {
 }
 
 bool RuntimeShard::RunOnePass(bool had_work) {
-  const bool probed = options_.probe != nullptr;
-  std::chrono::steady_clock::time_point pass_start;
-  if (probed) pass_start = std::chrono::steady_clock::now();
   // Agent ops first: they may submit sub-processes or release held
   // commits, and the pass below should see their effects. Run outside
   // mu_ (they take the agent's lock; the agent may post to other shards).
@@ -280,24 +231,7 @@ bool RuntimeShard::RunOnePass(bool had_work) {
   }
   for (std::function<void()>& op : ops) op();
   std::vector<Submission> submissions = queue_.DrainAll();
-  if (probed && !submissions.empty()) {
-    // Offer every drained submission to the probe before admission. An
-    // intercepted submission is moved out wholesale (its def_owner rides
-    // along into the migration buffer), so the retained_defs_ transfer
-    // below must only see the survivors.
-    size_t kept = 0;
-    for (size_t i = 0; i < submissions.size(); ++i) {
-      if (options_.probe->InterceptSubmission(options_.index,
-                                              submissions[i])) {
-        continue;
-      }
-      if (kept != i) submissions[kept] = std::move(submissions[i]);
-      ++kept;
-    }
-    submissions.resize(kept);
-  }
   bool admitted = false;
-  int64_t admitted_count = 0;
   for (Submission& submission : submissions) {
     if (submission.def_owner != nullptr) {
       retained_defs_.emplace(submission.def_owner.get(),
@@ -313,7 +247,6 @@ bool RuntimeShard::RunOnePass(bool had_work) {
     std::vector<Result<ProcessId>> pids = scheduler_->SubmitBatch(batch);
     for (size_t i = 0; i < submissions.size(); ++i) {
       admitted = admitted || pids[i].ok();
-      if (pids[i].ok()) ++admitted_count;
       submissions[i].result.set_value(std::move(pids[i]));
     }
   } else {
@@ -321,7 +254,6 @@ bool RuntimeShard::RunOnePass(bool had_work) {
       Result<ProcessId> pid =
           scheduler_->Submit(submission.def, submission.param);
       admitted = admitted || pid.ok();
-      if (pid.ok()) ++admitted_count;
       submission.result.set_value(std::move(pid));
     }
   }
@@ -336,16 +268,6 @@ bool RuntimeShard::RunOnePass(bool had_work) {
     }
   }
   PublishStats();
-  if (probed) {
-    ShardPassSample sample;
-    sample.pass_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         std::chrono::steady_clock::now() - pass_start)
-                         .count();
-    sample.queue_depth = queue_.size();
-    sample.admitted = admitted_count;
-    sample.committed_total = scheduler_->stats().processes_committed;
-    options_.probe->OnPassEnd(options_.index, sample);
-  }
   return has_work;
 }
 
@@ -355,7 +277,6 @@ void RuntimeShard::WorkerLoop() {
     cv_worker_.wait(lock, [&] {
       if (stop_requested_ || command_ != nullptr) return true;
       if (!error_.ok()) return false;  // sticky error: only commands/stop
-      if (parked_) return false;  // DPM sleep: only commands/stop/Unpark
       if (options_.mode == TickMode::kLockstep) {
         return ticks_granted_ > ticks_done_;
       }

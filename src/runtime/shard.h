@@ -41,34 +41,6 @@ enum class ShardLogMode {
   kFile,    // file-backed WAL at <wal_dir>/shard-<index>.wal
 };
 
-/// One worker pass, as sampled for the elastic LoadMonitor.
-struct ShardPassSample {
-  /// Wall time the pass spent admitting + stepping (only measured while a
-  /// probe is installed — the elastic-off hot path reads no clock).
-  int64_t pass_ns = 0;
-  /// Producer-side queue depth right after the pass's drain.
-  size_t queue_depth = 0;
-  /// Submissions admitted this pass.
-  int64_t admitted = 0;
-  /// The scheduler's cumulative committed-process counter after the pass.
-  int64_t committed_total = 0;
-};
-
-/// Elastic instrumentation hook installed per shard (the LoadMonitor +
-/// MigrationEngine front end). Both methods run on the SHARD WORKER
-/// thread; they must not call back into the shard and must outlive it.
-class ShardElasticProbe {
- public:
-  virtual ~ShardElasticProbe() = default;
-  /// Offered every drained submission BEFORE admission. Returning true
-  /// takes ownership of `submission` (the migration engine buffers
-  /// submissions of a migrating component, and acknowledges its own
-  /// null-def marker submissions); false admits it normally.
-  virtual bool InterceptSubmission(int shard, Submission& submission) = 0;
-  /// Fires at the end of every worker pass.
-  virtual void OnPassEnd(int shard, const ShardPassSample& sample) = 0;
-};
-
 /// One scheduler shard: an unmodified single-threaded
 /// TransactionalProcessScheduler with its own VirtualClock and its own
 /// recovery log, driven by a dedicated worker thread that is the
@@ -100,14 +72,6 @@ class RuntimeShard {
     /// Replicated kFile shards put per-replica WALs here
     /// (<wal_dir>/shard-<index>-replica-<r>.wal); wal_path is ignored.
     std::string wal_dir;
-    /// Elastic instrumentation (telemetry sampling + migration
-    /// interception). Null = the exact pre-elastic worker pass. Not
-    /// supported on replicated shards.
-    ShardElasticProbe* probe = nullptr;
-    /// Invoked (outside the shard mutex, on whichever thread unparked)
-    /// whenever Unpark() transitions parked -> running — including the
-    /// EnqueueSubmission auto-unpark (DPM resume-on-routed-traffic).
-    std::function<void(int shard)> on_unpark;
   };
 
   explicit RuntimeShard(Options options);
@@ -139,11 +103,6 @@ class RuntimeShard {
   /// Producer side (any thread): queue a submission under the shard's
   /// backpressure policy. Wakes the worker.
   Status EnqueueSubmission(Submission submission);
-  /// Same, under an explicit policy — the migration engine flushes its
-  /// buffered submissions with kBlock regardless of the shard's own
-  /// policy (they were already accepted; shedding them now would break
-  /// the producer's ticket).
-  Status EnqueueSubmission(Submission submission, BackpressurePolicy policy);
 
   /// Queues a closure the worker runs at the start of its next pass,
   /// before draining submissions — the cross-shard agent's channel for
@@ -184,21 +143,9 @@ class RuntimeShard {
   /// Last stats snapshot the worker published (end of each pass).
   SchedulerStats StatsSnapshot() const;
 
-  /// Producer-side queue depth (elastic telemetry; approximate by nature —
-  /// the worker may be draining concurrently).
+  /// Producer-side queue depth (approximate by nature — the worker may be
+  /// draining concurrently).
   size_t QueueDepth() const { return queue_.size(); }
-
-  /// DPM-style parking (free-running only — a parked lockstep shard would
-  /// stall the tick barrier): the worker blocks without running passes
-  /// until Unpark, a command, or Stop. Only meaningful for a shard that
-  /// owns no conflict components; the runtime enforces that.
-  Status Park();
-  /// Resumes a parked worker. Returns true iff the shard was parked, and
-  /// fires on_unpark (outside the mutex) exactly once per transition; also
-  /// invoked internally by EnqueueSubmission, so routed traffic always
-  /// wakes a parked shard.
-  bool Unpark();
-  bool parked() const;
 
   /// Sticky shard error (a failed Step/Submit pass or command).
   Status status() const;
@@ -248,9 +195,6 @@ class RuntimeShard {
   /// submissions may not have been stepped yet, so `!has_work_ &&
   /// queue_.empty()` alone would report idle too early.
   bool busy_ = false;
-  /// DPM parking gate: while set, the worker predicate ignores work (only
-  /// commands and stop wake it). Cleared by Unpark.
-  bool parked_ = false;
   int64_t ticks_granted_ = 0;
   int64_t ticks_done_ = 0;
   std::deque<std::function<void()>> agent_ops_;

@@ -10,37 +10,10 @@ namespace tpm {
 
 ShardRouter::ShardRouter(const ConflictSpec* spec,
                          const ConflictPartition* partition)
-    : spec_(spec), partition_(partition) {
-  const int components = partition_->num_components();
-  remap_.reset(new std::atomic<int>[static_cast<size_t>(
-      std::max(components, 1))]);
-  for (int c = 0; c < components; ++c) {
-    remap_[c].store(partition_->shard_of_component[static_cast<size_t>(c)],
-                    std::memory_order_relaxed);
-  }
-}
+    : spec_(spec), partition_(partition) {}
 
 int ShardRouter::ShardOfService(ServiceId service) const {
-  const int component = partition_->ComponentOfService(*spec_, service);
-  if (component < 0) return -1;
-  return remap_[component].load(std::memory_order_acquire);
-}
-
-int ShardRouter::ComponentOfDef(const ProcessDef& def) const {
-  for (const ActivityDecl& decl : def.activities()) {
-    if (decl.service.valid()) return ComponentOfService(decl.service);
-  }
-  return -1;
-}
-
-int ShardRouter::ShardOfComponent(int component) const {
-  if (component < 0 || component >= partition_->num_components()) return -1;
-  return remap_[component].load(std::memory_order_acquire);
-}
-
-void ShardRouter::SetComponentShard(int component, int shard) {
-  if (component < 0 || component >= partition_->num_components()) return;
-  remap_[component].store(shard, std::memory_order_release);
+  return partition_->ShardOfService(*spec_, service);
 }
 
 Result<int> ShardRouter::RouteProcess(const ProcessDef& def) const {

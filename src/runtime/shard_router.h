@@ -1,7 +1,6 @@
 #ifndef TPM_RUNTIME_SHARD_ROUTER_H_
 #define TPM_RUNTIME_SHARD_ROUTER_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -107,36 +106,9 @@ class ShardRouter {
   /// processes use Decide() instead.)
   Result<int> RouteProcess(const ProcessDef& def) const;
 
-  /// Shard owning `service`, or -1 if unknown. Resolved through the
-  /// elastic remap table: per-component owners initialized from the static
-  /// partition and overridden by SetComponentShard when a migration flips.
+  /// Shard owning `service`, or -1 if unknown. The partition is fixed at
+  /// Start, so routing is a pure function of it.
   int ShardOfService(ServiceId service) const;
-
-  /// Conflict component of `service`, or -1 if unknown. Components are
-  /// the partition's — they never change after Start; only their shard
-  /// ownership does.
-  int ComponentOfService(ServiceId service) const {
-    return partition_->ComponentOfService(*spec_, service);
-  }
-
-  /// Component of `def`'s footprint — the component of its first valid
-  /// service — or -1 for an empty or unknown footprint. (A pinned def may
-  /// touch several components colocated on one shard; the elastic runtime
-  /// migrates whole components, and Decide() re-derives the owner per
-  /// submission, so a multi-component def simply becomes spanning if its
-  /// components separate.)
-  int ComponentOfDef(const ProcessDef& def) const;
-
-  /// Current owner of `component` (remap-aware), or -1 if out of range.
-  int ShardOfComponent(int component) const;
-
-  int num_components() const { return partition_->num_components(); }
-
-  /// Elastic remap flip: `component` now routes to `shard`. Release store;
-  /// a concurrent Decide() sees either the old or the new owner, and the
-  /// migration engine's admission gate serializes which submissions may
-  /// still reach the old one.
-  void SetComponentShard(int component, int shard);
 
  private:
   /// Per-activity owner shards (forward service), with the co-location
@@ -145,8 +117,6 @@ class ShardRouter {
 
   const ConflictSpec* spec_;
   const ConflictPartition* partition_;
-  /// component -> owning shard, the only routing state a migration flips.
-  std::unique_ptr<std::atomic<int>[]> remap_;
 };
 
 }  // namespace tpm

@@ -58,25 +58,6 @@ class ShardedRuntime::ShardObserverRelay : public SchedulerObserver {
   int shard_;
 };
 
-/// The per-shard elastic hook: telemetry into the LoadMonitor, submission
-/// interception into the MigrationEngine. Runs on shard worker threads.
-class ShardedRuntime::ElasticProbe : public ShardElasticProbe {
- public:
-  ElasticProbe(LoadMonitor* monitor, MigrationEngine* engine)
-      : monitor_(monitor), engine_(engine) {}
-
-  bool InterceptSubmission(int shard, Submission& submission) override {
-    return engine_->MaybeIntercept(shard, submission);
-  }
-  void OnPassEnd(int shard, const ShardPassSample& sample) override {
-    monitor_->RecordPass(shard, sample);
-  }
-
- private:
-  LoadMonitor* monitor_;
-  MigrationEngine* engine_;
-};
-
 ShardedRuntime::ShardedRuntime(ShardedRuntimeOptions options)
     : options_(std::move(options)) {}
 
@@ -170,28 +151,6 @@ Status ShardedRuntime::Start() {
   if (options_.log_mode == ShardLogMode::kFile && options_.wal_dir.empty()) {
     return Status::InvalidArgument("kFile log mode requires wal_dir");
   }
-  const bool elastic = options_.elastic.enabled;
-  if (elastic && replicated()) {
-    return Status::InvalidArgument(
-        "elastic and replication are mutually exclusive (component "
-        "migration does not yet compose with replica groups)");
-  }
-  if (options_.elastic.policy.enabled && !elastic) {
-    return Status::InvalidArgument(
-        "elastic.policy.enabled requires elastic.enabled");
-  }
-  if (options_.elastic.policy.enabled &&
-      options_.mode == TickMode::kLockstep) {
-    return Status::InvalidArgument(
-        "the adaptive elastic controller requires free-running shards "
-        "(lockstep allows manual migrations on an idle runtime only)");
-  }
-  if (elastic && options_.elastic.initial_active_shards > options_.num_shards) {
-    return Status::InvalidArgument(
-        StrCat("elastic.initial_active_shards (",
-               options_.elastic.initial_active_shards, ") exceeds num_shards (",
-               options_.num_shards, ")"));
-  }
 
   // Union conflict spec over all subsystems: every service interned, every
   // derived (read/write + op-table) conflict declared, plus the explicit
@@ -232,25 +191,14 @@ Status ShardedRuntime::Start() {
     groups.push_back(group);
   }
 
-  // Adaptive grow capacity: pack the initial partition onto the first
-  // `initial_active_shards` shards; the spares own no components, park at
-  // start, and become migration targets when the controller scales out.
-  const int pack_shards =
-      (elastic && options_.elastic.initial_active_shards > 0)
-          ? options_.elastic.initial_active_shards
-          : options_.num_shards;
   TPM_ASSIGN_OR_RETURN(
       partition_,
-      ComputeConflictPartition(union_spec_, pack_shards, groups));
+      ComputeConflictPartition(union_spec_, options_.num_shards, groups));
   TPM_RETURN_IF_ERROR(VerifyPartition(union_spec_, partition_, groups));
-  partition_.num_shards = options_.num_shards;
   router_ = std::make_unique<ShardRouter>(&union_spec_, &partition_);
 
-  // The elastic layer, before the shards: the router must carry the
-  // durably flipped component -> shard overrides before anything routes,
-  // and the shards take their probe pointer at construction.
-  // The WAL directory must exist before ANY log opens — the migration
-  // engine's elastic.wal below as much as the per-shard WALs.
+  // The WAL directory must exist before any shard or coordinator log
+  // opens.
   if (options_.log_mode == ShardLogMode::kFile) {
     std::error_code ec;
     std::filesystem::create_directories(options_.wal_dir, ec);
@@ -259,55 +207,6 @@ Status ShardedRuntime::Start() {
           StrCat("cannot create wal_dir '", options_.wal_dir,
                  "': ", ec.message()));
     }
-  }
-
-  monitor_.reset();
-  engine_.reset();
-  probe_.reset();
-  controller_.reset();
-  if (elastic) {
-    monitor_ = std::make_unique<LoadMonitor>(options_.num_shards,
-                                             router_->num_components());
-    MigrationEngine::Options engine_options;
-    engine_options.log_mode = options_.log_mode;
-    if (options_.log_mode == ShardLogMode::kFile) {
-      engine_options.wal_path =
-          (std::filesystem::path(options_.wal_dir) / "elastic.wal").string();
-    }
-    engine_options.crash_listener = options_.elastic.crash_listener;
-    engine_options.buffer_capacity = options_.elastic.migration_buffer_capacity;
-    engine_options.mode = options_.mode;
-    engine_options.verify = options_.verify_recovery;
-    engine_options.spec = &union_spec_;
-    engine_options.router = router_.get();
-    engine_options.shards = &shards_;
-    engine_options.spans_begun = [this]() -> int64_t {
-      return agent_ != nullptr ? agent_->spans_begun() : 0;
-    };
-    engine_options.resume_shard = [this](int shard) {
-      if (shard >= 0 && shard < static_cast<int>(shards_.size())) {
-        shards_[shard]->Unpark();
-      }
-    };
-    engine_options.on_migrated = [this](int component, int from, int to) {
-      RelayEvent([&](RuntimeObserver* o) {
-        o->OnComponentMigrated(component, from, to);
-      });
-    };
-    engine_ = std::make_unique<MigrationEngine>(std::move(engine_options));
-    TPM_RETURN_IF_ERROR(engine_->Init());
-    for (const auto& [component, shard] : engine_->overrides()) {
-      if (component < 0 || component >= router_->num_components() ||
-          shard < 0 || shard >= options_.num_shards) {
-        return Status::FailedPrecondition(
-            StrCat("migration log maps component ", component, " to shard ",
-                   shard,
-                   ", outside the current configuration — restart with the "
-                   "crashed incarnation's shard count and registrations"));
-      }
-      router_->SetComponentShard(component, shard);
-    }
-    probe_ = std::make_unique<ElasticProbe>(monitor_.get(), engine_.get());
   }
 
   shards_.clear();
@@ -328,22 +227,9 @@ Status ShardedRuntime::Start() {
                                 StrCat("shard-", i, ".wal"))
                                    .string();
     }
-    shard_options.probe = probe_.get();  // null when elastic is off
-    if (elastic) {
-      shard_options.on_unpark = [this](int shard) {
-        monitor_->SetParked(shard, false);
-        RelayEvent([&](RuntimeObserver* o) { o->OnShardResumed(shard); });
-      };
-    }
     auto shard = std::make_unique<RuntimeShard>(std::move(shard_options));
     TPM_RETURN_IF_ERROR(shard->Init());
     shards_.push_back(std::move(shard));
-  }
-
-  // Repair incomplete migrations from the previous incarnation while the
-  // shard logs are open but no worker owns them yet.
-  if (engine_ != nullptr) {
-    TPM_RETURN_IF_ERROR(engine_->ApplyCrashFixups());
   }
 
   // Register each subsystem with the scheduler of the shard owning its
@@ -362,9 +248,7 @@ Status ShardedRuntime::Start() {
       return Status::InvalidArgument(
           StrCat("subsystem '", subsystem->name(), "' offers no services"));
     }
-    // Router, not partition: a recovered migration override re-homes the
-    // whole component, subsystem registrations included.
-    const int shard = router_->ShardOfService(ids.front());
+    const int shard = partition_.ShardOfService(union_spec_, ids.front());
     if (shard < 0) {
       return Status::Internal(
           StrCat("no shard owns service ", ids.front().value()));
@@ -418,7 +302,7 @@ Status ShardedRuntime::Start() {
   // Extra conflicts also go to the owning shard's local scheduler spec;
   // the partition guarantees both endpoints landed on the same shard.
   for (const auto& [a, b] : extra_conflicts_) {
-    const int shard = router_->ShardOfService(a);
+    const int shard = partition_.ShardOfService(union_spec_, a);
     if (replicated()) {
       shards_[shard]->group()->AddConflict(a, b);
     } else {
@@ -458,109 +342,9 @@ Status ShardedRuntime::Start() {
                                              router_.get(), &shards_);
   TPM_RETURN_IF_ERROR(agent_->Init());
 
-  // What moves with each component: its subsystems' registrations and the
-  // extra conflicts whose endpoints live in it.
-  if (engine_ != nullptr) {
-    std::vector<std::vector<Subsystem*>> subsystems_of_component(
-        static_cast<size_t>(router_->num_components()));
-    for (Subsystem* subsystem : subsystems_) {
-      std::vector<ServiceId> ids = subsystem->services().AllIds();
-      const int component =
-          ids.empty() ? -1 : router_->ComponentOfService(ids.front());
-      if (component >= 0) {
-        subsystems_of_component[static_cast<size_t>(component)].push_back(
-            subsystem);
-      }
-    }
-    std::vector<std::vector<std::pair<ServiceId, ServiceId>>>
-        conflicts_of_component(static_cast<size_t>(router_->num_components()));
-    for (const auto& [a, b] : extra_conflicts_) {
-      const int component = router_->ComponentOfService(a);
-      if (component >= 0) {
-        conflicts_of_component[static_cast<size_t>(component)].emplace_back(a,
-                                                                            b);
-      }
-    }
-    engine_->SetTopology(std::move(subsystems_of_component),
-                         std::move(conflicts_of_component));
-  }
-
   for (auto& shard : shards_) shard->Start();
-
-  // DPM: shards that own no components start parked (free-running only —
-  // a parked lockstep shard would stall the tick barrier). They resume on
-  // the first migration targeting them.
-  if (elastic && options_.mode == TickMode::kFreeRunning) {
-    std::vector<int> components_per_shard(
-        static_cast<size_t>(options_.num_shards), 0);
-    for (int component = 0; component < router_->num_components();
-         ++component) {
-      const int owner = router_->ShardOfComponent(component);
-      if (owner >= 0) ++components_per_shard[static_cast<size_t>(owner)];
-    }
-    for (int shard = 0; shard < options_.num_shards; ++shard) {
-      if (components_per_shard[static_cast<size_t>(shard)] == 0) {
-        TPM_RETURN_IF_ERROR(ParkShardInternal(shard));
-      }
-    }
-  }
-
   started_ = true;
-  if (options_.elastic.policy.enabled) StartElasticController();
   return Status::OK();
-}
-
-void ShardedRuntime::StartElasticController() {
-  // gather: one poll's policy inputs — monitor snapshots, current
-  // component ownership, and per-component traffic since the last poll
-  // (diff of the monitor's cumulative counters, kept in the closure).
-  auto gather = [this, prev = std::vector<int64_t>()]() mutable {
-    PolicyInputs inputs;
-    const std::vector<ShardLoadSnapshot> snapshots = monitor_->SnapshotAll();
-    const int num_components = router_->num_components();
-    std::vector<int> per_shard_components(shards_.size(), 0);
-    inputs.components.resize(static_cast<size_t>(num_components));
-    std::vector<int64_t> cumulative = monitor_->ComponentSubmissions();
-    for (int component = 0; component < num_components; ++component) {
-      const int owner = router_->ShardOfComponent(component);
-      if (owner >= 0) ++per_shard_components[static_cast<size_t>(owner)];
-      PolicyComponentInput& input =
-          inputs.components[static_cast<size_t>(component)];
-      input.component = component;
-      input.shard = owner;
-      const int64_t before =
-          static_cast<size_t>(component) < prev.size() ? prev[component] : 0;
-      input.recent_submissions = cumulative[component] - before;
-    }
-    prev = std::move(cumulative);
-    inputs.shards.resize(shards_.size());
-    for (size_t shard = 0; shard < shards_.size(); ++shard) {
-      PolicyShardInput& input = inputs.shards[shard];
-      input.parked = snapshots[shard].parked;
-      input.busy_fraction = snapshots[shard].busy_fraction;
-      input.queue_depth = snapshots[shard].queue_depth;
-      input.components = per_shard_components[shard];
-    }
-    return inputs;
-  };
-  // apply: failures surface through the engine's counters and sticky
-  // status (a failed migration aborts back to the source; the controller
-  // keeps polling).
-  auto apply = [this](const PolicyDecision& decision) {
-    switch (decision.kind) {
-      case PolicyActionKind::kMigrate:
-        (void)engine_->Migrate(decision.component, decision.to);
-        break;
-      case PolicyActionKind::kPark:
-        (void)ParkShard(decision.shard);
-        break;
-      case PolicyActionKind::kNone:
-        break;
-    }
-  };
-  controller_ = std::make_unique<ElasticController>(
-      options_.elastic.policy, std::move(gather), std::move(apply));
-  controller_->Start();
 }
 
 Result<SubmitTicket> ShardedRuntime::Submit(const ProcessDef* def,
@@ -581,28 +365,12 @@ Result<SubmitTicket> ShardedRuntime::SubmitInternal(
     return Status::Unavailable("runtime is not running");
   }
   if (def == nullptr) return Status::InvalidArgument("null process def");
-  // Elastic admission gate, held across route decision + enqueue/buffer:
-  // a migration's flip takes it unique, so no submission is ever pushed
-  // onto a shard whose component ownership already flipped away.
-  std::shared_lock<std::shared_mutex> route_gate;
-  if (engine_ != nullptr) route_gate = engine_->AcquireRouteLock();
   RouterDecision decision = router_->Decide(*def);
   if (decision.kind == RouteKind::kRejected) {
     submissions_rejected_.fetch_add(1, std::memory_order_relaxed);
     return decision.error;
   }
   if (decision.kind == RouteKind::kSplit) {
-    if (route_gate.owns_lock()) route_gate.unlock();
-    if (engine_ != nullptr && engine_->ever_migrated()) {
-      // Sub-process names encode shard numbers at split time; after a
-      // migration re-homed a component those names would lie to recovery.
-      // Staged limit (DESIGN.md §4k) — the reverse gate (no migration
-      // while spans are live) is enforced by the engine.
-      submissions_rejected_.fetch_add(1, std::memory_order_relaxed);
-      return Status::FailedPrecondition(
-          "spanning processes are not supported after a component "
-          "migration (staged limit)");
-    }
     if (replicated()) {
       // A spanning process would make replica execution depend on agent
       // ops arriving from other shards' (non-deterministic) timing —
@@ -635,25 +403,6 @@ Result<SubmitTicket> ShardedRuntime::SubmitInternal(
   SubmitTicket ticket;
   ticket.shard = shard;
   ticket.pid = submission.result.get_future().share();
-  if (engine_ != nullptr) {
-    const int component = router_->ComponentOfDef(*def);
-    if (component >= 0) {
-      monitor_->CountSubmission(component);
-      if (engine_->ShouldBuffer(component)) {
-        // Mid-migration: park the submission in the engine's bounded
-        // buffer; it lands on the target (or back on the source, on
-        // abort) in original FIFO order.
-        Result<int> target = engine_->Buffer(std::move(submission));
-        if (!target.ok()) {
-          submissions_rejected_.fetch_add(1, std::memory_order_relaxed);
-          return target.status();
-        }
-        ticket.shard = *target;
-        submissions_accepted_.fetch_add(1, std::memory_order_relaxed);
-        return ticket;
-      }
-    }
-  }
   Status pushed = shards_[shard]->EnqueueSubmission(std::move(submission));
   if (!pushed.ok()) {
     submissions_rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -689,32 +438,10 @@ Status ShardedRuntime::Tick(int64_t rounds) {
   return Status::OK();
 }
 
-namespace {
-/// Counted controller pause over a control-plane scope.
-class ControllerPauseScope {
- public:
-  explicit ControllerPauseScope(ElasticController* controller)
-      : controller_(controller) {
-    if (controller_ != nullptr) controller_->Pause();
-  }
-  ~ControllerPauseScope() {
-    if (controller_ != nullptr) controller_->Resume();
-  }
-  ControllerPauseScope(const ControllerPauseScope&) = delete;
-  ControllerPauseScope& operator=(const ControllerPauseScope&) = delete;
-
- private:
-  ElasticController* controller_;
-};
-}  // namespace
-
 Status ShardedRuntime::Drain(int64_t max_rounds) {
   if (!started_ || stopped_) {
     return Status::FailedPrecondition("Drain on a runtime that is not running");
   }
-  // No rebalancing mid-drain: a migration would make quiescence a moving
-  // target. Pause also waits out a migration already in flight.
-  ControllerPauseScope pause(controller_.get());
   if (options_.mode == TickMode::kLockstep) {
     for (int64_t round = 0; round < max_rounds; ++round) {
       agent_->Pump();
@@ -751,15 +478,7 @@ Status ShardedRuntime::Drain(int64_t max_rounds) {
     // (a submission or a commit-release not yet picked up) — re-wait. A
     // sticky coordinator failure instead parks the held sub-processes
     // forever, so report it rather than block on idleness that cannot
-    // come. Likewise a manual migration still holding buffered
-    // submissions: they are queued nowhere yet, so shard idleness lies.
-    if (engine_ != nullptr) {
-      TPM_RETURN_IF_ERROR(engine_->status());
-      if (!engine_->Quiet()) {
-        std::this_thread::yield();
-        continue;
-      }
-    }
+    // come.
     if (agent_->InFlightCount() == 0) return Status::OK();
     TPM_RETURN_IF_ERROR(agent_->status());
     std::this_thread::yield();
@@ -771,17 +490,6 @@ Status ShardedRuntime::Recover(
   if (!started_ || stopped_) {
     return Status::FailedPrecondition(
         "Recover on a runtime that is not running");
-  }
-  // Rebalancing must not race the replay.
-  ControllerPauseScope pause(controller_.get());
-  // The migration engine classifies WAL records by definition name; feed
-  // it the recovered definitions so components of processes predating
-  // this incarnation resolve.
-  if (engine_ != nullptr) {
-    for (const auto& [name, def] : defs_by_name) {
-      (void)name;
-      if (def != nullptr) engine_->LearnDef(*def);
-    }
   }
   // Coordinator log first: regenerate the sub-definitions of every
   // spanning process it references and collect the force-commit
@@ -886,15 +594,10 @@ Status ShardedRuntime::Stop() {
     stopped_.store(started_.load());
     return Status::OK();
   }
-  // Controller first (joins its thread; an in-flight migration fails out
-  // once the shards close their queues), then workers, then the engine's
-  // buffered submissions.
-  if (controller_ != nullptr) controller_->Stop();
   for (auto& shard : shards_) shard->Stop();
   // After the workers: pending agent ops died with them; fail the spans
   // whose first sub-process never got admitted.
   if (agent_ != nullptr) agent_->Shutdown();
-  if (engine_ != nullptr) engine_->Shutdown();
   stopped_ = true;
   return Status::OK();
 }
@@ -927,89 +630,8 @@ RuntimeStats ShardedRuntime::Stats() const {
     stats.vote_rounds += group_stats.vote_rounds;
     stats.per_shard_replicas.push_back(group_stats);
   }
-  for (const auto& shard : shards_) {
-    stats.queue_depths.push_back(shard->QueueDepth());
-    if (shard->parked()) ++stats.shards_parked;
-  }
-  if (engine_ != nullptr) {
-    stats.migrations_started = engine_->migrations_started();
-    stats.migrations_completed = engine_->migrations_completed();
-    stats.migrations_aborted = engine_->migrations_aborted();
-    stats.migration_s = static_cast<double>(engine_->migration_ns()) / 1e9;
-  }
-  if (controller_ != nullptr) {
-    stats.rebalance_decisions = controller_->decisions();
-  }
+  stats.queue_depths = QueueDepths();
   return stats;
-}
-
-Status ShardedRuntime::MigrateComponent(int component, int to) {
-  if (engine_ == nullptr) {
-    return Status::FailedPrecondition(
-        "MigrateComponent requires options.elastic.enabled");
-  }
-  if (!started_.load() || stopped_.load()) {
-    return Status::FailedPrecondition(
-        "MigrateComponent on a runtime that is not running");
-  }
-  return engine_->Migrate(component, to);
-}
-
-Status ShardedRuntime::ParkShard(int shard) {
-  if (engine_ == nullptr) {
-    return Status::FailedPrecondition(
-        "ParkShard requires options.elastic.enabled");
-  }
-  if (shard < 0 || shard >= static_cast<int>(shards_.size())) {
-    return Status::InvalidArgument(StrCat("shard ", shard, " out of range"));
-  }
-  // A parked shard must own nothing: traffic routed to an owned component
-  // would just auto-unpark it, and quiesced-but-owned state is exactly
-  // what migration exists for.
-  for (int component = 0; component < router_->num_components();
-       ++component) {
-    if (router_->ShardOfComponent(component) == shard) {
-      return Status::FailedPrecondition(
-          StrCat("shard ", shard, " still owns conflict component ",
-                 component, " — migrate it away before parking"));
-    }
-  }
-  if (!shards_[shard]->IsIdle()) {
-    return Status::FailedPrecondition(
-        StrCat("shard ", shard, " is not idle"));
-  }
-  return ParkShardInternal(shard);
-}
-
-Status ShardedRuntime::ParkShardInternal(int shard) {
-  TPM_RETURN_IF_ERROR(shards_[static_cast<size_t>(shard)]->Park());
-  if (monitor_ != nullptr) monitor_->SetParked(shard, true);
-  RelayEvent([&](RuntimeObserver* o) { o->OnShardParked(shard); });
-  return Status::OK();
-}
-
-Status ShardedRuntime::ResumeShard(int shard) {
-  if (shard < 0 || shard >= static_cast<int>(shards_.size())) {
-    return Status::InvalidArgument(StrCat("shard ", shard, " out of range"));
-  }
-  // Unpark fires on_unpark, which updates the monitor and the observers.
-  shards_[static_cast<size_t>(shard)]->Unpark();
-  return Status::OK();
-}
-
-bool ShardedRuntime::ShardParked(int shard) const {
-  if (shard < 0 || shard >= static_cast<int>(shards_.size())) return false;
-  return shards_[static_cast<size_t>(shard)]->parked();
-}
-
-void ShardedRuntime::SetRebalancing(bool enabled) {
-  if (controller_ == nullptr) return;
-  // Counted: every SetRebalancing(false) needs a matching (true).
-  if (enabled) {
-    controller_->Resume();
-  } else {
-    controller_->Pause();
-  }
 }
 
 std::vector<size_t> ShardedRuntime::QueueDepths() const {

@@ -15,10 +15,6 @@
 #include "core/scheduler.h"
 #include "runtime/conflict_partition.h"
 #include "runtime/cross_shard_agent.h"
-#include "runtime/elastic/elastic_controller.h"
-#include "runtime/elastic/elastic_options.h"
-#include "runtime/elastic/load_monitor.h"
-#include "runtime/elastic/migration_engine.h"
 #include "runtime/global_projection.h"
 #include "runtime/runtime_stats.h"
 #include "runtime/shard.h"
@@ -54,16 +50,6 @@ class RuntimeObserver {
   virtual void OnReplicaStateChange(int /*shard*/, int /*replica*/,
                                     ReplicaState /*from*/,
                                     ReplicaState /*to*/) {}
-  /// Elastic lifecycle. Same thread contract as above, except these may
-  /// additionally arrive on the CONTROL-PLANE or elastic-controller
-  /// thread (parking and migration are control-plane actions): serialized
-  /// under the relay mutex, no calling back into the runtime, must
-  /// outlive it. OnShardParked / OnShardResumed bracket a shard's DPM
-  /// sleep; OnComponentMigrated fires once a migration's MEND is durable.
-  virtual void OnShardParked(int /*shard*/) {}
-  virtual void OnShardResumed(int /*shard*/) {}
-  virtual void OnComponentMigrated(int /*component*/, int /*from*/,
-                                   int /*to*/) {}
 };
 
 struct ShardedRuntimeOptions {
@@ -108,15 +94,6 @@ struct ShardedRuntimeOptions {
   /// processes (RouteKind::kSplit), and subsystems for replicas >= 1 must
   /// be provided via AddReplicaSubsystem from mirrored worlds.
   ReplicationOptions replication;
-  /// Elastic runtime (DESIGN.md §4k): per-shard load telemetry,
-  /// quiesce-and-migrate of conflict components between live shards,
-  /// DPM-style idle-shard parking, and (policy.enabled) the adaptive
-  /// rebalancing controller. Off by default — the runtime then runs the
-  /// exact pre-elastic path (no probe, no clock reads in the worker
-  /// pass). Elastic and replication are mutually exclusive (a staged
-  /// limit: component migration does not yet compose with replica
-  /// groups).
-  ElasticOptions elastic;
 };
 
 /// The sharded multi-threaded runtime: N unmodified single-threaded
@@ -263,29 +240,9 @@ class ShardedRuntime {
   /// shard_scheduler).
   TransactionalProcessScheduler* replica_scheduler(int shard, int replica);
 
-  /// Elastic control plane (options.elastic.enabled only; control-plane
-  /// thread, serialized with the auto-controller inside the engine).
-  /// Quiesces `component` on its current shard and migrates it — log
-  /// segment, subsystem registrations, routing — onto shard `to`.
-  /// Blocking; see MigrationEngine::Migrate for the failure contract.
-  Status MigrateComponent(int component, int to);
-  /// DPM sleep for a shard owning no components (free-running only). The
-  /// shard resumes automatically on routed traffic or a migration
-  /// targeting it, or explicitly via ResumeShard.
-  Status ParkShard(int shard);
-  Status ResumeShard(int shard);
-  bool ShardParked(int shard) const;
-  /// Pauses/resumes the adaptive controller (policy.enabled only) — e.g.
-  /// around a phase a test wants to observe without interference.
-  void SetRebalancing(bool enabled);
-
   /// Per-shard producer-side queue depth snapshot (any thread, any
   /// configuration; approximate by nature).
   std::vector<size_t> QueueDepths() const;
-
-  /// Elastic telemetry/engine, or nullptr when elastic is off.
-  LoadMonitor* load_monitor() { return monitor_.get(); }
-  MigrationEngine* migration_engine() { return engine_.get(); }
 
   /// Terminal fate of the spanning process `gsn` (from its SubmitTicket).
   SpanOutcome SpanningOutcome(int64_t gsn) const;
@@ -302,16 +259,10 @@ class ShardedRuntime {
 
  private:
   class ShardObserverRelay;
-  class ElasticProbe;
 
   Result<SubmitTicket> SubmitInternal(const ProcessDef* def,
                                       std::shared_ptr<const ProcessDef> owner,
                                       int64_t param);
-
-  /// Builds the gather/apply closures and starts the ElasticController.
-  void StartElasticController();
-  /// Park/resume that also updates the monitor and fires the observers.
-  Status ParkShardInternal(int shard);
 
   void RelayEvent(const std::function<void(RuntimeObserver*)>& fn);
   /// Forwarded by the relays to the agent OUTSIDE observer_mu_ (lock
@@ -333,13 +284,6 @@ class ShardedRuntime {
   std::unique_ptr<CrossShardAgent> agent_;
   std::vector<std::unique_ptr<ShardObserverRelay>> relays_;
   std::vector<int> shard_of_subsystem_;
-
-  /// Elastic layer (null when options_.elastic.enabled is false — the
-  /// pre-elastic hot path carries no probe and reads no clock).
-  std::unique_ptr<LoadMonitor> monitor_;
-  std::unique_ptr<MigrationEngine> engine_;
-  std::unique_ptr<ElasticProbe> probe_;
-  std::unique_ptr<ElasticController> controller_;
 
   // Lifecycle flags are read by Submit from arbitrary producer threads
   // while the control-plane thread runs Start/Stop; atomics keep those

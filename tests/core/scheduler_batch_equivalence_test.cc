@@ -292,5 +292,27 @@ TEST(SchedulerBatch, BatchesInterleaveWithPerProcessSubmits) {
   EXPECT_EQ(scheduler.stats().processes_committed, 4);
 }
 
+TEST(SchedulerBatch, EveryAdmissionPathInternsAGraphNode) {
+  // Submit, SubmitHeld and SubmitBatch share one admission step, so each
+  // leaves the same graph state: an admitted process is a serialization
+  // graph node before any conflict edge names it.
+  MiniWorld world;
+  const ProcessDef* d1 = world.MakeChain("n1", "c:a p:b");
+  const ProcessDef* d2 = world.MakeChain("n2", "c:x p:y");
+  const ProcessDef* d3 = world.MakeChain("n3", "c:u p:v");
+  ASSERT_NE(d3, nullptr);
+  TransactionalProcessScheduler scheduler(PredOptions());
+  ASSERT_TRUE(scheduler.RegisterSubsystem(world.subsystem()).ok());
+  auto solo = scheduler.Submit(d1);
+  ASSERT_TRUE(solo.ok());
+  EXPECT_TRUE(scheduler.InSerializationGraph(*solo));
+  auto held = scheduler.SubmitHeld(d2);
+  ASSERT_TRUE(held.ok());
+  EXPECT_TRUE(scheduler.InSerializationGraph(*held));
+  std::vector<Result<ProcessId>> results = scheduler.SubmitBatch({{d3, 0}});
+  ASSERT_TRUE(results[0].ok());
+  EXPECT_TRUE(scheduler.InSerializationGraph(*results[0]));
+}
+
 }  // namespace
 }  // namespace tpm

@@ -218,8 +218,8 @@ TEST(SchedulerReclaimTest, NoEmitterRowNamesAPrunedProcess) {
       }
     };
     for (int round = 0; round < 30; ++round) {
-      // Batch admission makes every process a graph node up front, so
-      // leaving the graph means being pruned.
+      // Admission makes every process a graph node up front, so leaving
+      // the graph means being pruned.
       std::vector<TransactionalProcessScheduler::BatchSubmission> batch;
       for (const ProcessDef* def : defs) batch.push_back({def, 0});
       for (const Result<ProcessId>& pid : scheduler.SubmitBatch(batch)) {

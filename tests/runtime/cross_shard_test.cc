@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <iostream>
 #include <map>
 #include <memory>
 #include <set>
@@ -21,6 +23,7 @@
 #include "runtime/cross_shard_agent.h"
 #include "runtime/global_projection.h"
 #include "runtime/sharded_runtime.h"
+#include "testing/fault_injector.h"
 #include "workload/sharded_world.h"
 
 namespace tpm {
@@ -349,7 +352,9 @@ TEST(CrossShardTest, SplitPlanIsDeterministicAndCoversTheDefinition) {
 
 // Free-running spanning soak: concurrent submitters, spanning mix, drain,
 // then the global criteria. TPM_RUNTIME_SPAN_PCT overrides the spanning
-// share (CI chaos variant).
+// share (CI chaos variant); TPM_RUNTIME_SEED_BASE / TPM_RUNTIME_SOAK_ITERS
+// run fresh world seeds (default: world seed 28, one iteration), and a
+// failing seed is written to TPM_FAULT_SEED_FILE.
 TEST(CrossShardTest, FreeRunningSpanningSoakIsGloballyCorrect) {
   int span_pct = 20;
   if (const char* env = std::getenv("TPM_RUNTIME_SPAN_PCT")) {
@@ -358,34 +363,56 @@ TEST(CrossShardTest, FreeRunningSpanningSoakIsGloballyCorrect) {
       span_pct = static_cast<int>(*parsed);
     }
   }
-  ShardedWorld world({.seed = 28, .num_tenants = 4});
-  std::vector<const ProcessDef*> defs =
-      BuildSpanningWorkload(&world, 3, span_pct);
-  ShardedRuntimeOptions options;
-  options.num_shards = 4;
-  options.mode = TickMode::kFreeRunning;
-  ShardedRuntime runtime(options);
-  ASSERT_TRUE(world.RegisterAll(&runtime).ok());
-  { Status start_status = runtime.Start(); ASSERT_TRUE(start_status.ok()) << start_status; }
-  int64_t spans = 0;
-  for (const ProcessDef* def : defs) {
-    auto ticket = runtime.Submit(def);
-    ASSERT_TRUE(ticket.ok()) << def->name() << ": " << ticket.status();
-    if (ticket->gsn >= 0) ++spans;
+  const char* base_env = std::getenv("TPM_RUNTIME_SEED_BASE");
+  const char* iters_env = std::getenv("TPM_RUNTIME_SOAK_ITERS");
+  const uint64_t seed_base =
+      base_env != nullptr ? std::strtoull(base_env, nullptr, 10) : 28;
+  const int iterations = iters_env != nullptr ? std::atoi(iters_env) : 1;
+
+  for (int iter = 0; iter < iterations; ++iter) {
+    const uint64_t seed = seed_base + static_cast<uint64_t>(iter);
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    ShardedWorld world({.seed = seed, .num_tenants = 4});
+    std::vector<const ProcessDef*> defs =
+        BuildSpanningWorkload(&world, 3, span_pct);
+    ShardedRuntimeOptions options;
+    options.num_shards = 4;
+    options.mode = TickMode::kFreeRunning;
+    ShardedRuntime runtime(options);
+    ASSERT_TRUE(world.RegisterAll(&runtime).ok());
+    { Status start_status = runtime.Start(); ASSERT_TRUE(start_status.ok()) << start_status; }
+    int64_t spans = 0;
+    for (const ProcessDef* def : defs) {
+      auto ticket = runtime.Submit(def);
+      ASSERT_TRUE(ticket.ok()) << def->name() << ": " << ticket.status();
+      if (ticket->gsn >= 0) ++spans;
+    }
+    ASSERT_TRUE(runtime.Drain().ok());
+    RuntimeStats stats = runtime.Stats();
+    EXPECT_EQ(stats.spans_begun, spans);
+    EXPECT_EQ(stats.spans_begun, stats.spans_committed + stats.spans_aborted);
+    ASSERT_TRUE(runtime.Stop().ok());
+    ASSERT_TRUE(world.CheckAdtInvariants().ok());
+    auto global = runtime.GlobalProjection();
+    ASSERT_TRUE(global.ok()) << global.status();
+    auto pred = IsPRED(*global, runtime.union_spec());
+    ASSERT_TRUE(pred.ok()) << pred.status();
+    EXPECT_TRUE(*pred);
+    EXPECT_TRUE(IsProcessRecoverable(CommittedProjection(*global),
+                                     runtime.union_spec()));
+    if (::testing::Test::HasFailure()) {
+      // CI uploads this file so the failing seed survives the run.
+      std::string path = testing::WriteFailingSeed(
+          "spanning_soak", iter, "CrossShardTest",
+          StrCat("TPM_RUNTIME_SEED_BASE=", seed, " TPM_RUNTIME_SPAN_PCT=",
+                 span_pct,
+                 " TPM_RUNTIME_SOAK_ITERS=1 ctest -R "
+                 "FreeRunningSpanningSoak"));
+      std::cerr << "spanning soak failed at seed " << seed
+                << "; reproducer written to " << path << "\n";
+      break;
+    }
   }
-  ASSERT_TRUE(runtime.Drain().ok());
-  RuntimeStats stats = runtime.Stats();
-  EXPECT_EQ(stats.spans_begun, spans);
-  EXPECT_EQ(stats.spans_begun, stats.spans_committed + stats.spans_aborted);
-  ASSERT_TRUE(runtime.Stop().ok());
-  ASSERT_TRUE(world.CheckAdtInvariants().ok());
-  auto global = runtime.GlobalProjection();
-  ASSERT_TRUE(global.ok()) << global.status();
-  auto pred = IsPRED(*global, runtime.union_spec());
-  ASSERT_TRUE(pred.ok()) << pred.status();
-  EXPECT_TRUE(*pred);
-  EXPECT_TRUE(
-      IsProcessRecoverable(CommittedProjection(*global), runtime.union_spec()));
 }
 
 // Hand-built shard histories for MergeGlobalProjection: a linear
