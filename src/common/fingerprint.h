@@ -6,19 +6,18 @@
 
 namespace tpm {
 
-/// FNV-1a, the fingerprint function shared by the equivalence tests, the
-/// scheduler's incremental history digest and the replica voter. Chosen
-/// for what the determinism suite needs: a fixed, platform-independent
-/// definition (no seed randomization, no libc++-specific std::hash), cheap
-/// enough for per-event accumulation, and stable across runs so a digest
+/// FNV-1a, the fingerprint function shared by the equivalence and
+/// determinism tests, SchedulerStats::Fingerprint and the subsystems'
+/// StateFingerprint. Chosen for what the determinism suite needs: a fixed,
+/// platform-independent definition (no seed randomization, no
+/// libc++-specific std::hash), stable across runs so a fingerprint
 /// mismatch always means the *state* diverged, never the hasher.
 inline constexpr uint64_t kFnv1aOffsetBasis = 14695981039346656037ull;
 inline constexpr uint64_t kFnv1aPrime = 1099511628211ull;
 
 /// Chained form: folds `bytes` into a running hash (start from
 /// kFnv1aOffsetBasis). Streaming N chunks equals hashing their
-/// concatenation, which is what makes the incremental history digest equal
-/// to a from-scratch hash of the event stream.
+/// concatenation.
 inline uint64_t Fnv1a(uint64_t hash, std::string_view bytes) {
   for (unsigned char c : bytes) {
     hash ^= c;
@@ -41,7 +40,8 @@ inline uint64_t Fnv1aInt(uint64_t hash, uint64_t value) {
   return hash;
 }
 
-/// Order-dependent combination of two finished hashes (digest components).
+/// Order-dependent combination of two finished hashes (e.g. per-shard
+/// fingerprints folded into one).
 inline uint64_t FingerprintCombine(uint64_t a, uint64_t b) {
   return Fnv1aInt(Fnv1aInt(kFnv1aOffsetBasis, a), b);
 }

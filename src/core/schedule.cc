@@ -150,11 +150,8 @@ Status ProcessSchedule::Append(const ScheduleEvent& event, bool enforce_legal) {
     }
   }
   events_.push_back(event);
-  digest_ = Fnv1a(digest_, event.ToString());
   return Status::OK();
 }
-
-void ProcessSchedule::ResetDigest() { digest_ = kFnv1aOffsetBasis; }
 
 void ProcessSchedule::MarkVote(ProcessId pid) { votes_[pid] = events_.size(); }
 

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "common/fingerprint.h"
 #include "common/status.h"
 #include "core/activity.h"
 #include "core/conflict.h"
@@ -80,10 +79,10 @@ class ProcessSchedule {
 
   /// Records that `pid`, a held sub-process of a cross-shard spanning
   /// process, cast its "prepared" vote now, i.e. after the events appended
-  /// so far. A vote is not an event: no criterion reads it and the digest
-  /// ignores it. The global projection uses it to merge a spanning
-  /// process's later slices — submitted only after this vote — behind
-  /// everything this shard did before it (DESIGN.md §4h).
+  /// so far. A vote is not an event: no criterion reads it. The global
+  /// projection uses it to merge a spanning process's later slices —
+  /// submitted only after this vote — behind everything this shard did
+  /// before it (DESIGN.md §4h).
   void MarkVote(ProcessId pid);
 
   /// Number of events that precede `pid`'s vote, or 0 if it has none.
@@ -120,17 +119,6 @@ class ProcessSchedule {
   /// Released processes whose events still await Compact().
   size_t pending_release_count() const { return released_.size(); }
 
-  /// Incremental FNV-1a digest over every event ever appended (each event's
-  /// ToString folded in at append time). Because it accumulates at append,
-  /// it keeps covering events that Compact() later erases — two schedules
-  /// have equal digests iff they observed the same event sequence, which is
-  /// what replica voting compares. O(1) to read.
-  uint64_t digest() const { return digest_; }
-
-  /// Restarts the digest accumulator (replica respawn: the fresh replica's
-  /// schedule is empty, so all live replicas re-baseline together).
-  void ResetDigest();
-
   /// True if instances a (earlier) and b (later, by position) conflict under
   /// `spec`: different processes and conflicting services, honoring perfect
   /// commutativity (inverse instances conflict exactly like their
@@ -147,7 +135,6 @@ class ProcessSchedule {
 
  private:
   std::vector<ScheduleEvent> events_;
-  uint64_t digest_ = kFnv1aOffsetBasis;
   std::map<ProcessId, const ProcessDef*> defs_;
   std::map<ProcessId, std::shared_ptr<ProcessExecutionState>> states_;
   /// Processes released but whose events are not yet compacted away.

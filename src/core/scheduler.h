@@ -247,33 +247,6 @@ class TransactionalProcessScheduler : private SchedulerView {
     return stats_;
   }
 
-  /// Incremental FNV-1a digest over every history event ever emitted (see
-  /// ProcessSchedule::digest) — the history component of a replica's vote.
-  /// O(1); survives history Compact().
-  uint64_t HistoryDigest() const {
-    CheckThread("HistoryDigest");
-    return history_.digest();
-  }
-
-  /// Restarts the history digest accumulator. Replica respawn re-baselines
-  /// every live replica together so subsequent votes compare only the
-  /// post-respawn suffix.
-  void ResetHistoryDigest() {
-    CheckThread("ResetHistoryDigest");
-    history_.ResetDigest();
-  }
-
-  /// Combined StateFingerprint of all registered subsystems, folded in
-  /// registration order — the store component of a replica's vote.
-  uint64_t SubsystemStateFingerprint() const {
-    CheckThread("SubsystemStateFingerprint");
-    uint64_t h = kFnv1aOffsetBasis;
-    for (const Subsystem* subsystem : subsystems_) {
-      h = Fnv1aInt(h, subsystem->StateFingerprint());
-    }
-    return h;
-  }
-
   /// Detaches the single-thread ownership (see the class comment): the
   /// next thread to call any public entry point becomes the new owner.
   /// Only meaningful on a quiesced scheduler — the caller must provide the

@@ -197,18 +197,13 @@ struct SchedulerStats {
   /// the identity, so merged single-shard stats equal the solo run's).
   void MergeFrom(const SchedulerStats& other);
 
-  /// FNV-1a digest of the counter deltas since `base` — the stats component
-  /// of a replica's vote. Deltas rather than absolutes so a respawned
-  /// replica (which re-baselines at adoption) votes comparably with peers
-  /// that carry history from before the respawn. With a default-constructed
-  /// base this hashes the absolute values.
-  uint64_t Fingerprint() const { return FingerprintSince(SchedulerStats{}); }
-
-  uint64_t FingerprintSince(const SchedulerStats& base) const;
+  /// FNV-1a digest of every counter's absolute value, in table order —
+  /// what the lockstep and determinism tests compare runs by.
+  uint64_t Fingerprint() const;
 };
 
 /// The counter table: every SchedulerStats field, in fingerprint order.
-/// MergeFrom, operator== and FingerprintSince all walk it, so a new counter
+/// MergeFrom, operator== and Fingerprint all walk it, so a new counter
 /// is a field plus one entry here (the checks below catch a field left out
 /// or listed twice).
 inline constexpr int64_t SchedulerStats::* kSchedulerStatsCounters[] = {
@@ -273,11 +268,10 @@ inline bool operator==(const SchedulerStats& a, const SchedulerStats& b) {
   return true;
 }
 
-inline uint64_t SchedulerStats::FingerprintSince(
-    const SchedulerStats& base) const {
+inline uint64_t SchedulerStats::Fingerprint() const {
   uint64_t h = kFnv1aOffsetBasis;
   for (int64_t SchedulerStats::*counter : kSchedulerStatsCounters) {
-    h = Fnv1aInt(h, static_cast<uint64_t>(this->*counter - base.*counter));
+    h = Fnv1aInt(h, static_cast<uint64_t>(this->*counter));
   }
   return h;
 }

@@ -6,6 +6,8 @@
 #include <utility>
 
 #include "common/str_util.h"
+#include "core/pred.h"
+#include "core/recoverability.h"
 
 namespace tpm {
 
@@ -312,6 +314,23 @@ Result<ProcessSchedule> MergeGlobalProjection(
     }
   }
   return global;
+}
+
+Status VerifyGlobalProjection(
+    const std::vector<const ProcessSchedule*>& shard_histories,
+    const std::map<std::string, SpanSubProjection>& spans,
+    const ConflictSpec& spec) {
+  TPM_ASSIGN_OR_RETURN(ProcessSchedule global,
+                       MergeGlobalProjection(shard_histories, spans));
+  TPM_ASSIGN_OR_RETURN(bool pred, IsPRED(global, spec));
+  if (!pred) {
+    return Status::Internal("global recovered history is not PRED");
+  }
+  if (!IsProcessRecoverable(CommittedProjection(global), spec)) {
+    return Status::Internal(
+        "global recovered committed projection is not Proc-REC");
+  }
+  return Status::OK();
 }
 
 }  // namespace tpm

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "core/conflict.h"
 #include "core/process.h"
 #include "core/schedule.h"
 
@@ -69,6 +70,15 @@ struct SpanSubProjection {
 Result<ProcessSchedule> MergeGlobalProjection(
     const std::vector<const ProcessSchedule*>& shard_histories,
     const std::map<std::string, SpanSubProjection>& spans);
+
+/// The global recovery assertion: merges the shard histories as above and
+/// checks PRED on the result and Proc-REC on its committed projection,
+/// over the union conflict spec `spec`. A half-committed span fails the
+/// merge itself.
+Status VerifyGlobalProjection(
+    const std::vector<const ProcessSchedule*>& shard_histories,
+    const std::map<std::string, SpanSubProjection>& spans,
+    const ConflictSpec& spec);
 
 }  // namespace tpm
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/scheduler_options.h"
-#include "runtime/replica_group.h"
 
 namespace tpm {
 
@@ -31,16 +30,6 @@ struct RuntimeStats {
   int64_t spans_begun = 0;
   int64_t spans_committed = 0;
   int64_t spans_aborted = 0;
-  /// Replication counters, summed over all shards' replica groups (all
-  /// zero when replication is off). A divergence is a losing ballot in a
-  /// completed vote; every divergence evicts its replica; a failover is a
-  /// primary promotion.
-  int64_t replica_divergences = 0;
-  int64_t failovers = 0;
-  int64_t replicas_evicted = 0;
-  int64_t vote_rounds = 0;
-  /// Per-shard replica-group stats; empty when replication is off.
-  std::vector<ReplicaGroupStats> per_shard_replicas;
   /// Producer-side submission-queue depth per shard (approximate by
   /// nature — workers drain concurrently).
   std::vector<size_t> queue_depths;

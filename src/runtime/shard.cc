@@ -14,19 +14,6 @@ RuntimeShard::RuntimeShard(Options options)
 RuntimeShard::~RuntimeShard() { Stop(); }
 
 Status RuntimeShard::Init() {
-  if (options_.replication.factor > 1) {
-    ReplicaGroup::Options group_options;
-    group_options.shard_index = options_.index;
-    group_options.replication = options_.replication;
-    group_options.scheduler = options_.scheduler;
-    group_options.lockstep = options_.mode == TickMode::kLockstep;
-    group_options.batched_admission = options_.batched_admission;
-    group_options.no_wal = options_.log_mode == ShardLogMode::kNone;
-    group_options.file_wal = options_.log_mode == ShardLogMode::kFile;
-    group_options.wal_dir = options_.wal_dir;
-    group_ = std::make_unique<ReplicaGroup>(std::move(group_options));
-    return group_->Init();
-  }
   switch (options_.log_mode) {
     case ShardLogMode::kNone:
       break;
@@ -48,30 +35,7 @@ Status RuntimeShard::Init() {
   return Status::OK();
 }
 
-TransactionalProcessScheduler* RuntimeShard::scheduler() {
-  if (group_ != nullptr) return group_->replica_scheduler(group_->primary());
-  return scheduler_.get();
-}
-
-VirtualClock* RuntimeShard::clock() {
-  if (group_ != nullptr) return group_->replica_clock(group_->primary());
-  return &clock_;
-}
-
-RecoveryLog* RuntimeShard::log() {
-  if (group_ != nullptr) return group_->replica_log(group_->primary());
-  return log_.get();
-}
-
 void RuntimeShard::Start() {
-  if (group_ != nullptr) {
-    group_->SetErrorCallback(
-        [this](const Status& status) { RecordError(status); });
-    group_->SetNotifyCallback([this] { cv_client_.notify_all(); });
-    group_->Start();
-    worker_ = std::thread([this] { SequencerLoop(); });
-    return;
-  }
   // Hand ownership from the setup thread (which registered subsystems and
   // observers) to the worker; the worker's first scheduler call rebinds
   // the affinity guard, and the thread construction provides the
@@ -135,47 +99,21 @@ Status RuntimeShard::WaitCommandDone() {
   return command_status_;
 }
 
-void RuntimeShard::PostSchedulerCommand(
-    std::function<Status(TransactionalProcessScheduler*)> fn) {
-  if (group_ != nullptr) {
-    ReplicaGroup* group = group_.get();
-    PostCommand([group, fn = std::move(fn)] {
-      return group->ForEachReplicaScheduler(fn);
-    });
-    return;
-  }
-  TransactionalProcessScheduler* scheduler = scheduler_.get();
-  PostCommand(
-      [scheduler, fn = std::move(fn)] { return fn(scheduler); });
-}
-
 Status RuntimeShard::WaitIdle() {
   std::unique_lock<std::mutex> lock(mu_);
   cv_client_.wait(lock, [&] {
     if (!error_.ok() || stopped_) return true;
-    if (!(!busy_ && !has_work_ && queue_.empty() && agent_ops_.empty())) {
-      return false;
-    }
-    // Replicated: the sequencer being idle is not enough — every live
-    // replica must have consumed every published round (lock order is
-    // always shard mu_ then group gmu_; the group's notify callback pokes
-    // cv_client_ without taking mu_).
-    return group_ == nullptr || group_->IsIdle();
+    return !busy_ && !has_work_ && queue_.empty() && agent_ops_.empty();
   });
   return error_;
 }
 
 bool RuntimeShard::IsIdle() {
   std::lock_guard<std::mutex> lock(mu_);
-  return !busy_ && !has_work_ && queue_.empty() && agent_ops_.empty() &&
-         (group_ == nullptr || group_->IsIdle());
+  return !busy_ && !has_work_ && queue_.empty() && agent_ops_.empty();
 }
 
 SchedulerStats RuntimeShard::StatsSnapshot() const {
-  // Replicated: the acting primary publishes its snapshot at the end of
-  // every pass — fresher than the sequencer's copy, which only updates
-  // when a round is published.
-  if (group_ != nullptr) return group_->PrimaryStatsSnapshot();
   std::lock_guard<std::mutex> lock(mu_);
   return stats_snapshot_;
 }
@@ -193,11 +131,6 @@ void RuntimeShard::Stop() {
     stop_requested_ = true;
   }
   cv_worker_.notify_all();
-  // Group first: the sequencer may be parked inside PublishRound's flow
-  // control (waiting on the group's condition variable, which the shard's
-  // notify cannot reach) — the group's stop fails that wait and lets the
-  // sequencer exit.
-  if (group_ != nullptr) group_->Stop();
   worker_.join();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -319,66 +252,6 @@ void RuntimeShard::WorkerLoop() {
   // Hand the quiesced scheduler back: join() gives the inspecting thread
   // its happens-before edge.
   scheduler_->ReleaseThreadAffinity();
-}
-
-void RuntimeShard::SequencerLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    cv_worker_.wait(lock, [&] {
-      if (stop_requested_ || command_ != nullptr) return true;
-      if (!error_.ok()) return false;  // sticky error: only commands/stop
-      if (options_.mode == TickMode::kLockstep) {
-        return ticks_granted_ > ticks_done_;
-      }
-      return !queue_.empty();
-    });
-    if (command_ != nullptr) {
-      std::function<Status()> command = std::move(command_);
-      command_ = nullptr;
-      lock.unlock();
-      Status status = command();
-      SchedulerStats snapshot = group_->PrimaryStatsSnapshot();
-      lock.lock();
-      stats_snapshot_ = snapshot;
-      command_status_ = status;
-      command_done_ = true;
-      cv_client_.notify_all();
-      continue;
-    }
-    if (stop_requested_) break;
-    busy_ = true;
-    lock.unlock();
-    // A round is this pass's queue drain. Lockstep publishes every tick
-    // (empty rounds included — a tick is a round, so the replicas' pass
-    // count matches the unreplicated worker's) and blocks on the tick
-    // barrier; free-running publishes only real submissions and lets the
-    // replicas run ahead on their own threads.
-    std::vector<Submission> submissions = queue_.DrainAll();
-    Status status;
-    if (options_.mode == TickMode::kLockstep) {
-      status = group_->PublishRoundAndWait(std::move(submissions));
-    } else if (!submissions.empty()) {
-      status = group_->PublishRound(std::move(submissions));
-    }
-    if (!status.ok()) RecordError(status);
-    SchedulerStats snapshot = group_->PrimaryStatsSnapshot();
-    lock.lock();
-    busy_ = false;
-    stats_snapshot_ = snapshot;
-    if (options_.mode == TickMode::kLockstep) {
-      ++ticks_done_;
-      cv_client_.notify_all();
-    } else if (queue_.empty()) {
-      cv_client_.notify_all();  // idle waiters re-check the group
-    }
-  }
-  lock.unlock();
-  // Fail whatever was still queued; the group's own Stop fails the rounds
-  // already published but not yet released.
-  for (Submission& submission : queue_.DrainAll()) {
-    submission.result.set_value(Status::Unavailable(
-        StrCat("shard ", options_.index, " stopped before admission")));
-  }
 }
 
 }  // namespace tpm

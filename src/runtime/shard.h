@@ -14,7 +14,6 @@
 #include "common/virtual_clock.h"
 #include "core/scheduler.h"
 #include "log/recovery_log.h"
-#include "runtime/replica_group.h"
 #include "runtime/submission_queue.h"
 
 namespace tpm {
@@ -63,15 +62,6 @@ class RuntimeShard {
     /// Admission outcomes are bit-identical either way; off = the
     /// per-process reference path.
     bool batched_admission = true;
-    /// factor > 1 replaces the shard's single scheduler with a
-    /// ReplicaGroup: R voting replicas fed identical rounds by this
-    /// shard's worker (now a sequencer). Default (1) is the exact
-    /// pre-replication path. Agent ops (cross-shard spans) are not
-    /// supported on a replicated shard.
-    ReplicationOptions replication;
-    /// Replicated kFile shards put per-replica WALs here
-    /// (<wal_dir>/shard-<index>-replica-<r>.wal); wal_path is ignored.
-    std::string wal_dir;
   };
 
   explicit RuntimeShard(Options options);
@@ -86,16 +76,11 @@ class RuntimeShard {
 
   /// Setup-phase access (facade thread, before Start — and, once the
   /// worker has stopped, test inspection: Stop releases the scheduler's
-  /// thread affinity). On a replicated shard these resolve to the acting
-  /// primary replica's parts.
-  TransactionalProcessScheduler* scheduler();
-  VirtualClock* clock();
-  RecoveryLog* log();
+  /// thread affinity).
+  TransactionalProcessScheduler* scheduler() { return scheduler_.get(); }
+  VirtualClock* clock() { return &clock_; }
+  RecoveryLog* log() { return log_.get(); }
   int index() const { return options_.index; }
-
-  /// The shard's replica group, or nullptr when replication is off.
-  ReplicaGroup* group() { return group_.get(); }
-  bool replicated() const { return group_ != nullptr; }
 
   /// Hands the scheduler to a fresh worker thread and starts it.
   void Start();
@@ -126,13 +111,6 @@ class RuntimeShard {
   void PostCommand(std::function<Status()> fn);
   Status WaitCommandDone();
 
-  /// Scheduler-parameterized command: runs on the worker thread against
-  /// the shard scheduler — or, replicated, against EVERY live replica's
-  /// scheduler on its own worker (Recover must replay each replica's
-  /// private WAL). Wait with WaitCommandDone.
-  void PostSchedulerCommand(
-      std::function<Status(TransactionalProcessScheduler*)> fn);
-
   /// Free-running mode: blocks until the shard has no queued submissions
   /// and its scheduler reports no remaining work (or the shard errored).
   Status WaitIdle();
@@ -160,9 +138,6 @@ class RuntimeShard {
 
  private:
   void WorkerLoop();
-  /// Replicated worker: a sequencer that drains the queue and publishes
-  /// rounds to the replica group instead of running a scheduler itself.
-  void SequencerLoop();
   /// One pass: drain + admit queued submissions, then one scheduling pass
   /// if work remains. Returns the new has-work flag.
   bool RunOnePass(bool had_work);
@@ -173,7 +148,6 @@ class RuntimeShard {
   VirtualClock clock_;
   std::unique_ptr<RecoveryLog> log_;
   std::unique_ptr<TransactionalProcessScheduler> scheduler_;
-  std::unique_ptr<ReplicaGroup> group_;
   SubmissionQueue queue_;
   /// Definitions whose ownership was transferred with the submission
   /// (Submission::def_owner): the scheduler keeps raw ProcessDef pointers

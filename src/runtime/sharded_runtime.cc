@@ -1,6 +1,5 @@
 #include "runtime/sharded_runtime.h"
 
-#include <algorithm>
 #include <filesystem>
 #include <thread>
 #include <utility>
@@ -89,25 +88,6 @@ Status ShardedRuntime::AddSubsystem(Subsystem* subsystem) {
     }
   }
   subsystems_.push_back(subsystem);
-  return Status::OK();
-}
-
-Status ShardedRuntime::AddReplicaSubsystem(int replica, Subsystem* subsystem) {
-  if (!replicated()) {
-    return Status::FailedPrecondition(
-        "AddReplicaSubsystem with replication off (factor <= 1)");
-  }
-  if (replica == 0) return AddSubsystem(subsystem);
-  if (started_) {
-    return Status::FailedPrecondition("AddReplicaSubsystem after Start");
-  }
-  if (replica < 0 || replica >= options_.replication.factor) {
-    return Status::InvalidArgument(
-        StrCat("replica ", replica, " out of range (factor ",
-               options_.replication.factor, ")"));
-  }
-  if (subsystem == nullptr) return Status::InvalidArgument("null subsystem");
-  mirror_subsystems_.emplace_back(replica, subsystem);
   return Status::OK();
 }
 
@@ -220,8 +200,6 @@ Status ShardedRuntime::Start() {
     shard_options.batched_admission = options_.batched_admission;
     shard_options.mode = options_.mode;
     shard_options.log_mode = options_.log_mode;
-    shard_options.replication = options_.replication;
-    shard_options.wal_dir = options_.wal_dir;
     if (options_.log_mode == ShardLogMode::kFile) {
       shard_options.wal_path = (std::filesystem::path(options_.wal_dir) /
                                 StrCat("shard-", i, ".wal"))
@@ -233,15 +211,8 @@ Status ShardedRuntime::Start() {
   }
 
   // Register each subsystem with the scheduler of the shard owning its
-  // services (all on one shard — its implicit colocation group). With
-  // replication on, registration goes through the shard's replica group
-  // (replica 0), which also remembers the subsystem for digesting and
-  // respawn.
+  // services (all on one shard — its implicit colocation group).
   shard_of_subsystem_.clear();
-  std::vector<std::vector<int>> replica_counts(
-      static_cast<size_t>(options_.num_shards),
-      std::vector<int>(
-          static_cast<size_t>(std::max(1, options_.replication.factor)), 0));
   for (Subsystem* subsystem : subsystems_) {
     std::vector<ServiceId> ids = subsystem->services().AllIds();
     if (ids.empty()) {
@@ -253,78 +224,20 @@ Status ShardedRuntime::Start() {
       return Status::Internal(
           StrCat("no shard owns service ", ids.front().value()));
     }
-    if (replicated()) {
-      TPM_RETURN_IF_ERROR(
-          shards_[shard]->group()->RegisterSubsystem(0, subsystem));
-      ++replica_counts[shard][0];
-    } else {
-      TPM_RETURN_IF_ERROR(
-          shards_[shard]->scheduler()->RegisterSubsystem(subsystem));
-    }
-    shard_of_subsystem_.push_back(shard);
-  }
-  // Mirror subsystems (replicas >= 1): routed by their first service —
-  // mirror worlds mint the same ServiceIds as replica 0, so each lands on
-  // the shard owning its replica-0 twin.
-  for (const auto& [replica, subsystem] : mirror_subsystems_) {
-    std::vector<ServiceId> ids = subsystem->services().AllIds();
-    if (ids.empty()) {
-      return Status::InvalidArgument(
-          StrCat("subsystem '", subsystem->name(), "' offers no services"));
-    }
-    const int shard = partition_.ShardOfService(union_spec_, ids.front());
-    if (shard < 0) {
-      return Status::NotFound(
-          StrCat("mirror subsystem '", subsystem->name(),
-                 "': no shard owns service ", ids.front().value(),
-                 " (its replica-0 twin was never added)"));
-    }
     TPM_RETURN_IF_ERROR(
-        shards_[shard]->group()->RegisterSubsystem(replica, subsystem));
-    ++replica_counts[shard][replica];
-  }
-  // Every replica of a shard must carry the same subsystem set: a missing
-  // mirror would make the replica diverge on its first touched service.
-  if (replicated()) {
-    for (int shard = 0; shard < options_.num_shards; ++shard) {
-      for (int replica = 1; replica < options_.replication.factor;
-           ++replica) {
-        if (replica_counts[shard][replica] != replica_counts[shard][0]) {
-          return Status::InvalidArgument(StrCat(
-              "shard ", shard, ": replica ", replica, " has ",
-              replica_counts[shard][replica], " subsystems, replica 0 has ",
-              replica_counts[shard][0],
-              " (AddReplicaSubsystem must mirror every subsystem)"));
-        }
-      }
-    }
+        shards_[shard]->scheduler()->RegisterSubsystem(subsystem));
+    shard_of_subsystem_.push_back(shard);
   }
   // Extra conflicts also go to the owning shard's local scheduler spec;
   // the partition guarantees both endpoints landed on the same shard.
   for (const auto& [a, b] : extra_conflicts_) {
     const int shard = partition_.ShardOfService(union_spec_, a);
-    if (replicated()) {
-      shards_[shard]->group()->AddConflict(a, b);
-    } else {
-      shards_[shard]->scheduler()->AddConflict(a, b);
-    }
+    shards_[shard]->scheduler()->AddConflict(a, b);
   }
 
   for (int i = 0; i < options_.num_shards; ++i) {
     relays_.push_back(std::make_unique<ShardObserverRelay>(this, i));
-    if (replicated()) {
-      // The group's observer gate delivers each event exactly once — from
-      // the acting primary — into the relay.
-      shards_[i]->group()->AddDownstreamObserver(relays_.back().get());
-      shards_[i]->group()->SetStateChangeCallback(
-          [this, i](int replica, ReplicaState from, ReplicaState to) {
-            RelayEvent([&](RuntimeObserver* o) {
-              o->OnReplicaStateChange(i, replica, from, to);
-            });
-          });
-    } else {
-      shards_[i]->scheduler()->AddObserver(relays_.back().get());
-    }
+    shards_[i]->scheduler()->AddObserver(relays_.back().get());
   }
 
   // The coordination agent for spanning processes, with its own WAL
@@ -371,14 +284,6 @@ Result<SubmitTicket> ShardedRuntime::SubmitInternal(
     return decision.error;
   }
   if (decision.kind == RouteKind::kSplit) {
-    if (replicated()) {
-      // A spanning process would make replica execution depend on agent
-      // ops arriving from other shards' (non-deterministic) timing —
-      // replication and spans are mutually exclusive for now.
-      submissions_rejected_.fetch_add(1, std::memory_order_relaxed);
-      return Status::InvalidArgument(
-          "spanning processes are not supported on replicated shards");
-    }
     if (owner != nullptr) {
       // The agent re-splits from the original definition for the life of
       // the span (and recovery re-derives slices from it), so the runtime
@@ -504,26 +409,43 @@ Status ShardedRuntime::Recover(
   directives = std::move(span_plan.directives);
   span_info = agent_->ProjectionInfo();
 
-  // Fan the replay out: every shard worker replays its own WAL
-  // concurrently, then self-checks the recovered history. The command runs
-  // on the worker thread, so the scheduler's thread affinity holds.
+  // Round 1 fans the replay out: every shard worker replays its own WAL
+  // concurrently. The command runs on the worker thread, so the
+  // scheduler's thread affinity holds. When the global check will run,
+  // the worker also copies its recovered history into its slot.
   const bool verify = options_.verify_recovery;
+  const bool verify_global = verify && !span_info.empty();
+  std::vector<ProcessSchedule> histories(
+      verify_global ? shards_.size() : 0);
   for (auto& shard : shards_) {
     const int index = shard->index();
-    // PostSchedulerCommand: on a replicated shard the closure runs once
-    // per live replica, each against its own scheduler and private WAL.
-    shard->PostSchedulerCommand([&all_defs, &directives, verify,
-                                 index](TransactionalProcessScheduler*
-                                            scheduler) {
+    TransactionalProcessScheduler* scheduler = shard->scheduler();
+    ProcessSchedule* slot =
+        verify_global ? &histories[static_cast<size_t>(index)] : nullptr;
+    shard->PostCommand([&all_defs, &directives, scheduler, slot, index] {
       Status replayed = scheduler->Recover(all_defs, &directives);
       if (!replayed.ok()) {
         return Status(replayed.code(), StrCat("shard ", index, ": ",
                                               replayed.message()));
       }
-      if (!verify) return Status::OK();
-      // Post-recovery self-check, per shard: PRED on the full recovered
-      // history, Proc-REC on its committed projection (the same pair of
-      // criteria the chaos suites assert).
+      if (slot != nullptr) *slot = scheduler->history();
+      return Status::OK();
+    });
+  }
+  TPM_RETURN_IF_ERROR(WaitShardCommands());
+  // Presumed abort, made durable: every spanning process without a
+  // decision record is now decided aborted (its votes were just rolled
+  // back by the shard replays). This touches only the coordinator log.
+  TPM_RETURN_IF_ERROR(agent_->FinishRecovery());
+  if (!verify) return Status::OK();
+
+  // Round 2: each shard self-checks its recovered history — PRED on the
+  // full history, Proc-REC on its committed projection (the same pair of
+  // criteria the chaos suites assert).
+  for (auto& shard : shards_) {
+    const int index = shard->index();
+    TransactionalProcessScheduler* scheduler = shard->scheduler();
+    shard->PostCommand([scheduler, index]() -> Status {
       TPM_ASSIGN_OR_RETURN(
           bool pred, IsPRED(scheduler->history(), scheduler->conflict_spec()));
       if (!pred) {
@@ -539,54 +461,31 @@ Status ShardedRuntime::Recover(
       return Status::OK();
     });
   }
+  // Meanwhile the global assertion (DESIGN.md §4h) runs here, on the
+  // round-1 copies: merge the per-shard recovery histories —
+  // reassembling every spanning process into one global process, which is
+  // exactly where a half-committed span would surface — and check PRED +
+  // Proc-REC on the union spec.
+  Status global;
+  if (verify_global) {
+    std::vector<const ProcessSchedule*> history_ptrs;
+    history_ptrs.reserve(histories.size());
+    for (const ProcessSchedule& history : histories) {
+      history_ptrs.push_back(&history);
+    }
+    global = VerifyGlobalProjection(history_ptrs, span_info, union_spec_);
+  }
+  TPM_RETURN_IF_ERROR(WaitShardCommands());
+  return global;
+}
+
+Status ShardedRuntime::WaitShardCommands() {
   Status first_error;
   for (auto& shard : shards_) {
     Status status = shard->WaitCommandDone();
     if (!status.ok() && first_error.ok()) first_error = status;
   }
-  TPM_RETURN_IF_ERROR(first_error);
-  // Presumed abort, made durable: every spanning process without a
-  // decision record is now decided aborted (its votes were just rolled
-  // back by the shard replays).
-  TPM_RETURN_IF_ERROR(agent_->FinishRecovery());
-  if (!verify || span_info.empty()) return Status::OK();
-
-  // The global assertion (DESIGN.md §4h): merge the per-shard recovery
-  // histories — reassembling every spanning process into one global
-  // process, which is exactly where a half-committed span would surface —
-  // and check PRED + Proc-REC on the union spec.
-  // Only reachable with spanning processes, which replication rejects —
-  // so each shard has exactly one scheduler writing its slot.
-  std::vector<ProcessSchedule> histories(shards_.size());
-  for (auto& shard : shards_) {
-    ProcessSchedule* slot = &histories[static_cast<size_t>(shard->index())];
-    shard->PostSchedulerCommand(
-        [slot](TransactionalProcessScheduler* scheduler) {
-          *slot = scheduler->history();
-          return Status::OK();
-        });
-  }
-  for (auto& shard : shards_) {
-    Status status = shard->WaitCommandDone();
-    if (!status.ok() && first_error.ok()) first_error = status;
-  }
-  TPM_RETURN_IF_ERROR(first_error);
-  std::vector<const ProcessSchedule*> history_ptrs;
-  history_ptrs.reserve(histories.size());
-  for (const ProcessSchedule& history : histories) {
-    history_ptrs.push_back(&history);
-  }
-  TPM_ASSIGN_OR_RETURN(ProcessSchedule global,
-                       MergeGlobalProjection(history_ptrs, span_info));
-  TPM_ASSIGN_OR_RETURN(bool pred, IsPRED(global, union_spec_));
-  if (!pred) {
-    return Status::Internal("global recovered history is not PRED");
-  }
-  if (!IsProcessRecoverable(CommittedProjection(global), union_spec_)) {
-    return Status::Internal(
-        "global recovered committed projection is not Proc-REC");
-  }
-  return Status::OK();
+  return first_error;
 }
 
 Status ShardedRuntime::Stop() {
@@ -619,16 +518,6 @@ RuntimeStats ShardedRuntime::Stats() const {
     stats.spans_begun = agent_->spans_begun();
     stats.spans_committed = agent_->spans_committed();
     stats.spans_aborted = agent_->spans_aborted();
-  }
-  for (const auto& shard : shards_) {
-    ReplicaGroup* group = const_cast<RuntimeShard*>(shard.get())->group();
-    if (group == nullptr) continue;
-    ReplicaGroupStats group_stats = group->Stats();
-    stats.replica_divergences += group_stats.replica_divergences;
-    stats.failovers += group_stats.failovers;
-    stats.replicas_evicted += group_stats.replicas_evicted;
-    stats.vote_rounds += group_stats.vote_rounds;
-    stats.per_shard_replicas.push_back(group_stats);
   }
   stats.queue_depths = QueueDepths();
   return stats;
@@ -664,40 +553,6 @@ int ShardedRuntime::ShardOfSubsystem(const Subsystem* subsystem) const {
     }
   }
   return -1;
-}
-
-ReplicaGroup* ShardedRuntime::shard_group(int shard) {
-  if (shard < 0 || shard >= static_cast<int>(shards_.size())) return nullptr;
-  return shards_[shard]->group();
-}
-
-Status ShardedRuntime::KillReplica(int shard, int replica) {
-  ReplicaGroup* group = shard_group(shard);
-  if (group == nullptr) {
-    return Status::FailedPrecondition(
-        StrCat("shard ", shard, " is not replicated"));
-  }
-  return group->Kill(replica);
-}
-
-Status ShardedRuntime::RespawnReplica(
-    int shard, int replica,
-    const std::map<std::string, const ProcessDef*>& defs_by_name) {
-  ReplicaGroup* group = shard_group(shard);
-  if (group == nullptr) {
-    return Status::FailedPrecondition(
-        StrCat("shard ", shard, " is not replicated"));
-  }
-  return group->Respawn(replica, defs_by_name);
-}
-
-TransactionalProcessScheduler* ShardedRuntime::replica_scheduler(
-    int shard, int replica) {
-  ReplicaGroup* group = shard_group(shard);
-  if (group == nullptr || replica < 0 || replica >= group->factor()) {
-    return nullptr;
-  }
-  return group->replica_scheduler(replica);
 }
 
 SpanOutcome ShardedRuntime::SpanningOutcome(int64_t gsn) const {

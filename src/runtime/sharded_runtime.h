@@ -43,13 +43,6 @@ class RuntimeObserver {
   /// A held sub-process of a spanning process durably voted "prepared" on
   /// `shard` (the shard-tagged relay of SchedulerObserver::OnCommitHeld).
   virtual void OnCommitHeld(int /*shard*/, ProcessId /*pid*/) {}
-  /// A replica of `shard`'s replica group changed lifecycle state —
-  /// kActive -> kKilled (crashed or killed), kActive -> kEvicted (lost a
-  /// divergence vote), kKilled/kEvicted -> kActive (respawned). Only
-  /// fires when replication is on.
-  virtual void OnReplicaStateChange(int /*shard*/, int /*replica*/,
-                                    ReplicaState /*from*/,
-                                    ReplicaState /*to*/) {}
 };
 
 struct ShardedRuntimeOptions {
@@ -87,13 +80,6 @@ struct ShardedRuntimeOptions {
   /// "coordinator/append|sync|synced|decide"). The shard WALs keep their
   /// own listener via `scheduler`.
   CrashPointListener* coordinator_crash_listener = nullptr;
-  /// factor > 1 runs every shard as that many voting scheduler replicas
-  /// (NMR): divergence detection at vote boundaries, eviction of losers,
-  /// hot failover off a dead primary. Off (1) by default — the runtime
-  /// then behaves exactly as before. Replication rejects spanning
-  /// processes (RouteKind::kSplit), and subsystems for replicas >= 1 must
-  /// be provided via AddReplicaSubsystem from mirrored worlds.
-  ReplicationOptions replication;
 };
 
 /// The sharded multi-threaded runtime: N unmodified single-threaded
@@ -126,13 +112,6 @@ class ShardedRuntime {
   /// share its store and lock table, and the owning shard's worker must
   /// be the only thread invoking it).
   Status AddSubsystem(Subsystem* subsystem);
-  /// Replication only: the subsystem set of replica `replica` (from a
-  /// mirror world seeded identically to replica 0's, so it mints the same
-  /// ServiceIds). replica 0's subsystems go through plain AddSubsystem —
-  /// they define the conflict spec; replicas >= 1 are routed to the shard
-  /// owning their first service and must mirror replica 0's registration
-  /// order and per-shard counts (checked at Start).
-  Status AddReplicaSubsystem(int replica, Subsystem* subsystem);
   /// Extra conflict beyond the subsystem-derived ones (both services join
   /// one shard).
   Status AddConflict(ServiceId a, ServiceId b);
@@ -194,14 +173,15 @@ class ShardedRuntime {
   /// deterministically, and durably decided commits become force-commit
   /// directives. Then every shard worker replays its own WAL CONCURRENTLY
   /// (scheduler Recover: rebuild states, force-commit directed in-doubt
-  /// votes, group abort of everything else in flight), then — with
-  /// verify_recovery — asserts PRED on the shard's recovery history and
-  /// Proc-REC on its committed projection. Undecided spanning processes
-  /// are then presumed aborted (durably, FinishRecovery), and with
-  /// spanning processes present the GLOBAL merged projection is verified
-  /// PRED + Proc-REC too. Call after Start on a runtime whose WAL files
-  /// (and subsystems) survive from the crashed incarnation, before
-  /// submitting new work.
+  /// votes, group abort of everything else in flight). Undecided spanning
+  /// processes are then presumed aborted (durably, FinishRecovery). With
+  /// verify_recovery, every shard worker then asserts PRED on its
+  /// recovery history and Proc-REC on its committed projection, while
+  /// the calling thread — with spanning processes present — verifies the
+  /// GLOBAL merged projection PRED + Proc-REC (VerifyGlobalProjection); a
+  /// shard's error is reported ahead of the global one. Call after Start
+  /// on a runtime whose WAL files (and subsystems) survive from the
+  /// crashed incarnation, before submitting new work.
   Status Recover(const std::map<std::string, const ProcessDef*>& defs_by_name);
 
   /// Stops all workers WITHOUT draining queued work (kill semantics; call
@@ -223,22 +203,6 @@ class ShardedRuntime {
   RecoveryLog* shard_log(int shard);
   /// Shard owning `subsystem` (by its first service), or -1.
   int ShardOfSubsystem(const Subsystem* subsystem) const;
-
-  /// Replication control plane (replication.factor > 1 only).
-  bool replicated() const { return options_.replication.factor > 1; }
-  /// Shard `shard`'s replica group, or nullptr when replication is off.
-  ReplicaGroup* shard_group(int shard);
-  /// Marks a replica dead while the shard keeps serving (a dead primary
-  /// fails over to a live follower immediately, with no recovery pause).
-  Status KillReplica(int shard, int replica);
-  /// Rebuilds a dead replica from the acting primary. The shard must be
-  /// idle (Drain first); defs_by_name as for Recover.
-  Status RespawnReplica(
-      int shard, int replica,
-      const std::map<std::string, const ProcessDef*>& defs_by_name);
-  /// Replica coordinates for tests/inspection (same affinity caveats as
-  /// shard_scheduler).
-  TransactionalProcessScheduler* replica_scheduler(int shard, int replica);
 
   /// Per-shard producer-side queue depth snapshot (any thread, any
   /// configuration; approximate by nature).
@@ -264,6 +228,10 @@ class ShardedRuntime {
                                       std::shared_ptr<const ProcessDef> owner,
                                       int64_t param);
 
+  /// Waits for every shard's posted command; returns the first error in
+  /// shard order.
+  Status WaitShardCommands();
+
   void RelayEvent(const std::function<void(RuntimeObserver*)>& fn);
   /// Forwarded by the relays to the agent OUTSIDE observer_mu_ (lock
   /// order: agent mutex after — never under — the relay mutex).
@@ -272,8 +240,6 @@ class ShardedRuntime {
 
   ShardedRuntimeOptions options_;
   std::vector<Subsystem*> subsystems_;
-  /// (replica >= 1, subsystem) registrations awaiting Start.
-  std::vector<std::pair<int, Subsystem*>> mirror_subsystems_;
   std::vector<std::pair<ServiceId, ServiceId>> extra_conflicts_;
   ColocationGroups colocations_;
 

@@ -343,18 +343,4 @@ uint64_t EscrowSubsystem::StateFingerprint() const {
   return h;
 }
 
-Status EscrowSubsystem::AdoptStateFrom(const Subsystem& peer) {
-  const auto* other = dynamic_cast<const EscrowSubsystem*>(&peer);
-  if (other == nullptr) {
-    return Status::InvalidArgument(
-        StrCat("AdoptStateFrom: ", name_, " cannot adopt from ", peer.name(),
-               " (not an EscrowSubsystem)"));
-  }
-  counters_ = other->counters_;
-  next_tx_ = other->next_tx_;
-  invocations_ = other->invocations_;
-  exhaustion_aborts_ = other->exhaustion_aborts_;
-  return Status::OK();
-}
-
 }  // namespace tpm

@@ -90,7 +90,6 @@ class EscrowSubsystem : public Subsystem {
   Status AbortAllPrepared() override;
   void OnProcessResolved(ProcessId process, bool committed) override;
   uint64_t StateFingerprint() const override;
-  Status AdoptStateFrom(const Subsystem& peer) override;
 
   int64_t BalanceOf(const std::string& counter) const;
   /// Stable headroom above the lower bound: what the escrow test would let

@@ -119,23 +119,4 @@ uint64_t KvSubsystem::StateFingerprint() const {
   return h;
 }
 
-Status KvSubsystem::AdoptStateFrom(const Subsystem& peer) {
-  const auto* other = dynamic_cast<const KvSubsystem*>(&peer);
-  if (other == nullptr) {
-    return Status::InvalidArgument(
-        StrCat("AdoptStateFrom: ", name_, " cannot adopt from ", peer.name(),
-               " (not a KvSubsystem)"));
-  }
-  store_ = other->store_;
-  scripted_failures_ = other->scripted_failures_;
-  failure_probability_ = other->failure_probability_;
-  retry_policy_ = other->retry_policy_;
-  rng_ = other->rng_;
-  invocations_ = other->invocations_;
-  injected_aborts_ = other->injected_aborts_;
-  internal_retries_ = other->internal_retries_;
-  backoff_ticks_waited_ = other->backoff_ticks_waited_;
-  return Status::OK();
-}
-
 }  // namespace tpm

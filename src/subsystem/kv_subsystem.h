@@ -69,25 +69,12 @@ class Subsystem {
   /// stats aggregation; plain subsystems report zeros.
   virtual SubsystemHealthCounters health_counters() const { return {}; }
 
-  /// Deterministic digest of all behavior-relevant subsystem state — the
-  /// store component of a replica's vote digest. Replicas fed the identical
-  /// submission stream must report identical fingerprints; silent state
-  /// corruption in one replica shows up here before it can influence any
-  /// externally visible result. Default 0: an opaque subsystem contributes
-  /// nothing (votes then rest on history + stats alone).
+  /// Deterministic digest of all behavior-relevant subsystem state. Two
+  /// subsystems fed the identical invocation stream report identical
+  /// fingerprints, which is how the lockstep tests show a shard's stores
+  /// end where a solo scheduler's do. Default 0: an opaque subsystem
+  /// contributes nothing.
   virtual uint64_t StateFingerprint() const { return 0; }
-
-  /// Copies every piece of behavior-relevant state from `peer`, which must
-  /// be the same concrete type (checked via dynamic_cast). Used by replica
-  /// respawn: a dead replica's periphery is re-seeded from a healthy peer
-  /// while the group is quiescent, then the peer's WAL is copied for
-  /// scheduler-side continuity. Default: FailedPrecondition — a subsystem
-  /// without an override cannot host respawn.
-  virtual Status AdoptStateFrom(const Subsystem& peer) {
-    (void)peer;
-    return Status::FailedPrecondition("AdoptStateFrom not supported by " +
-                                      name());
-  }
 };
 
 /// Subsystem simulated over an in-memory KvStore, with failure injection
@@ -115,7 +102,6 @@ class KvSubsystem : public Subsystem {
   bool WouldBlock(ServiceId service) const override;
   Status AbortAllPrepared() override;
   uint64_t StateFingerprint() const override;
-  Status AdoptStateFrom(const Subsystem& peer) override;
 
   /// The next `count` invocations of `service` abort (deterministic
   /// failure script; models Def. 3 for retriables and Def. 4 for pivots).

@@ -355,21 +355,4 @@ uint64_t QueueSubsystem::StateFingerprint() const {
   return h;
 }
 
-Status QueueSubsystem::AdoptStateFrom(const Subsystem& peer) {
-  const auto* other = dynamic_cast<const QueueSubsystem*>(&peer);
-  if (other == nullptr) {
-    return Status::InvalidArgument(
-        StrCat("AdoptStateFrom: ", name_, " cannot adopt from ", peer.name(),
-               " (not a QueueSubsystem)"));
-  }
-  queues_ = other->queues_;
-  enqueued_by_activity_ = other->enqueued_by_activity_;
-  dequeued_by_activity_ = other->dequeued_by_activity_;
-  next_token_ = other->next_token_;
-  next_tx_ = other->next_tx_;
-  invocations_ = other->invocations_;
-  empty_dequeues_ = other->empty_dequeues_;
-  return Status::OK();
-}
-
 }  // namespace tpm

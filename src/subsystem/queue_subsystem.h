@@ -84,7 +84,6 @@ class QueueSubsystem : public Subsystem {
   Status AbortAllPrepared() override;
   void OnProcessResolved(ProcessId process, bool committed) override;
   uint64_t StateFingerprint() const override;
-  Status AdoptStateFrom(const Subsystem& peer) override;
 
   int64_t LengthOf(const std::string& queue) const;
   /// Queue contents front-to-back (state fingerprinting in crash tests).

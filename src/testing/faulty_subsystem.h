@@ -24,7 +24,7 @@ struct FaultProfile {
   /// the local transaction runs.
   int64_t latency_ticks = 0;
   /// With this probability an invocation additionally stalls for
-  /// slow_latency_ticks (a slow replica / GC pause / queue spike).
+  /// slow_latency_ticks (a slow node / GC pause / queue spike).
   double slow_probability = 0.0;
   int64_t slow_latency_ticks = 0;
 };

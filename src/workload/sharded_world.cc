@@ -43,20 +43,6 @@ Status ShardedWorld::RegisterAll(ShardedRuntime* runtime) {
   return Status::OK();
 }
 
-Status ShardedWorld::RegisterAllAsReplica(ShardedRuntime* runtime,
-                                          int replica) {
-  if (replica == 0) return RegisterAll(runtime);
-  for (auto& tenant : tenants_) {
-    for (Subsystem* s : {static_cast<Subsystem*>(tenant.kv.get()),
-                         static_cast<Subsystem*>(tenant.escrow.get()),
-                         static_cast<Subsystem*>(tenant.queue.get())}) {
-      if (s->services().AllIds().empty()) continue;
-      TPM_RETURN_IF_ERROR(runtime->AddReplicaSubsystem(replica, s));
-    }
-  }
-  return Status::OK();
-}
-
 Status ShardedWorld::RegisterAllSolo(TransactionalProcessScheduler* scheduler) {
   for (auto& tenant : tenants_) {
     TPM_RETURN_IF_ERROR(scheduler->RegisterSubsystem(tenant.kv.get()));

@@ -59,13 +59,6 @@ class ShardedWorld {
   /// single-threaded baseline the equivalence test compares against).
   Status RegisterAllSolo(TransactionalProcessScheduler* scheduler);
 
-  /// Replication: registers this world as replica `replica` of a
-  /// replicated runtime. Replica 0 (the spec-defining registration,
-  /// including colocations) is RegisterAll; replicas >= 1 must come from
-  /// mirror worlds built with the same seed and the same Make*Process
-  /// calls, so they mint identical ServiceIds.
-  Status RegisterAllAsReplica(ShardedRuntime* runtime, int replica);
-
   /// All services of one tenant (its colocation group).
   std::vector<ServiceId> TenantServices(int tenant) const;
 

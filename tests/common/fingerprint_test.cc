@@ -1,8 +1,7 @@
 // common/fingerprint.h: the one FNV-1a everybody shares. The properties
 // the determinism suite leans on: fixed reference values (platform and
-// run independent), streaming == one-shot (that is what makes the
-// incremental history digest equal a from-scratch hash), and the
-// little-endian fixed-width integer fold.
+// run independent), streaming == one-shot, and the little-endian
+// fixed-width integer fold.
 
 #include "common/fingerprint.h"
 

@@ -1,8 +1,9 @@
 // SchedulerStats is one counter table (kSchedulerStatsCounters) behind
-// MergeFrom, operator== and FingerprintSince. The goldens below pin the
+// MergeFrom, operator== and Fingerprint. The goldens below pin the
 // fingerprints of a value with a distinct number in every field, so a
-// reordered or dropped table entry, which would change replica vote
-// digests, fails here.
+// reordered or dropped table entry, which would silently change every
+// stats fingerprint the lockstep and determinism tests compare, fails
+// here.
 
 #include <cstdint>
 #include <iterator>
@@ -74,14 +75,13 @@ void FillDistinct(SchedulerStats* stats, SchedulerStats* base) {
   base->in_doubt_resolved = 135;
 }
 
-TEST(SchedulerStatsTest, FingerprintSinceMatchesGolden) {
+TEST(SchedulerStatsTest, FingerprintMatchesGolden) {
   ASSERT_EQ(std::size(kSchedulerStatsCounters), 27u);
   SchedulerStats stats;
   SchedulerStats base;
   FillDistinct(&stats, &base);
   EXPECT_EQ(stats.steps, 1021);
   EXPECT_EQ(stats.in_doubt_resolved, 1000 + 7 * 27 * 29);
-  EXPECT_EQ(stats.FingerprintSince(base), 0x349dc287b4a5147eull);
   EXPECT_EQ(stats.Fingerprint(), 0xb598ba49c75d5b02ull);
   // MergeFrom walks the same table: every counter sums, virtual_time maxes.
   SchedulerStats merged = base;

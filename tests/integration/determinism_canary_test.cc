@@ -1,10 +1,10 @@
-// Determinism canary: every world the equivalence and replication suites
+// Determinism canary: every world the equivalence and recovery suites
 // lean on must be a pure function of its seed. Each scenario runs the
 // same seeded workload twice into fresh schedulers and compares the
 // history fingerprint and the full SchedulerStats fingerprint. The
-// replicated shards (NMR voting) are built entirely on this property —
-// if any world drifts, this test names it before the replication suite
-// starts failing with opaque divergence evictions.
+// lockstep-equals-solo and restart-equals-uncrashed tests compare
+// fingerprints across runs, so they rest on this property — if any world
+// drifts, this test names it before those fail with an opaque mismatch.
 
 #include <gtest/gtest.h>
 
@@ -137,7 +137,7 @@ RunDigest RunFaultDomainWorld(uint64_t seed) {
 
 // --- Sharded world: the full multi-threaded runtime in lockstep mode.
 // Folds every shard's history into one digest; lockstep execution is the
-// mode the replica groups compare vote digests under.
+// mode the runtime equivalence tests compare fingerprints under.
 
 RunDigest RunShardedWorld(uint64_t seed) {
   constexpr int kTenants = 4;

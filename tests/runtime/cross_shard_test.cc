@@ -581,5 +581,67 @@ TEST(GlobalProjectionTest, FailedAlternativeIsNotHalfCommitted) {
       << half.status();
 }
 
+// The global recovery check catches what no shard can see: two spans
+// whose slices meet in opposite orders on two shards. Each shard history
+// is serial and PRED on its own; merged, span 1 precedes span 2 on
+// service 1 and follows it on service 3, a cycle between committed
+// processes.
+TEST(GlobalProjectionTest, CrossedSpansFailTheGlobalRecoveryCheck) {
+  // Span g runs its service-1 activity on shard 0 and its service-3
+  // activity on shard 1: slice[g][shard].
+  std::vector<std::unique_ptr<ProcessDef>> defs;
+  const ProcessDef* slice[3][2] = {};
+  std::map<std::string, SpanSubProjection> spans;
+  for (int gsn : {1, 2}) {
+    const std::string name = StrCat("span", gsn);
+    defs.push_back(LinearDef(name, {{ActivityKind::kCompensatable, 1},
+                                    {ActivityKind::kRetriable, 3}}));
+    const ProcessDef* original = defs.back().get();
+    for (int shard : {0, 1}) {
+      defs.push_back(LinearDef(
+          StrCat(name, "@g", gsn, "/s", shard),
+          {{shard == 0 ? ActivityKind::kCompensatable
+                       : ActivityKind::kRetriable,
+            shard == 0 ? 1 : 3}}));
+      slice[gsn][shard] = defs.back().get();
+      spans[defs.back()->name()] = {
+          .gsn = gsn,
+          .original = original,
+          .to_original = {{ActivityId(1), ActivityId(shard + 1)}},
+          .forward_preds = {}};
+    }
+  }
+  ConflictSpec spec;
+  spec.AddConflict(ServiceId(1), ServiceId(1));
+  spec.AddConflict(ServiceId(3), ServiceId(3));
+
+  // One shard's serial history: P1 then P2, one activity each.
+  auto serial = [](const ProcessDef* first, const ProcessDef* second) {
+    ProcessSchedule history;
+    EXPECT_TRUE(history.AddProcess(ProcessId(1), first).ok());
+    EXPECT_TRUE(history.AddProcess(ProcessId(2), second).ok());
+    AppendActivity(&history, 1, 1);
+    AppendActivity(&history, 2, 1);
+    EXPECT_TRUE(history.Append(ScheduleEvent::Commit(ProcessId(1)), false)
+                    .ok());
+    EXPECT_TRUE(history.Append(ScheduleEvent::Commit(ProcessId(2)), false)
+                    .ok());
+    return history;
+  };
+  ProcessSchedule shard0 = serial(slice[1][0], slice[2][0]);
+  ProcessSchedule in_order = serial(slice[1][1], slice[2][1]);
+  ProcessSchedule crossed = serial(slice[2][1], slice[1][1]);
+  for (const ProcessSchedule* history : {&shard0, &in_order, &crossed}) {
+    auto pred = IsPRED(*history, spec);
+    ASSERT_TRUE(pred.ok()) << pred.status();
+    EXPECT_TRUE(*pred);
+  }
+
+  EXPECT_TRUE(VerifyGlobalProjection({&shard0, &in_order}, spans, spec).ok());
+  Status status = VerifyGlobalProjection({&shard0, &crossed}, spans, spec);
+  EXPECT_EQ(status.code(), StatusCode::kInternal) << status;
+  EXPECT_EQ(status.message(), "global recovered history is not PRED");
+}
+
 }  // namespace
 }  // namespace tpm

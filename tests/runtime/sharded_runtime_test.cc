@@ -152,6 +152,18 @@ TEST(ShardedRuntimeTest, LockstepShardsMatchSoloSchedulersBitExactly) {
         << solo.history().ToString();
     EXPECT_TRUE(sharded_stats.per_shard[s] == solo.stats())
         << "shard " << s << " stats diverged";
+    // The shard's stores end where the solo run's do.
+    for (int t : tenants_of_shard[s]) {
+      EXPECT_EQ(world.kv(t)->StateFingerprint(),
+                mirror.kv(t)->StateFingerprint())
+          << "tenant " << t << " kv state diverged";
+      EXPECT_EQ(world.escrow(t)->StateFingerprint(),
+                mirror.escrow(t)->StateFingerprint())
+          << "tenant " << t << " escrow state diverged";
+      EXPECT_EQ(world.queue(t)->StateFingerprint(),
+                mirror.queue(t)->StateFingerprint())
+          << "tenant " << t << " queue state diverged";
+    }
   }
 }
 
