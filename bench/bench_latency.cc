@@ -1,10 +1,10 @@
-// E23 — wall-clock submit->commit latency under open-loop load, batched vs
-// per-process admission. One producer thread per tenant drives short
-// escrow-increment processes (fully commuting within a tenant, so the
-// scheduler's admission/runtime overhead — not conflict resolution — is
-// what the numbers measure) into the free-running ShardedRuntime; shard
-// schedulers run with reclaim_terminated so millions of processes execute
-// in bounded memory. Per admission mode the harness measures:
+// E23 — wall-clock submit->commit latency under open-loop load. One
+// producer thread per tenant drives short escrow-increment processes
+// (fully commuting within a tenant, so the scheduler's admission/runtime
+// overhead — not conflict resolution — is what the numbers measure) into
+// the free-running ShardedRuntime; shard schedulers run with
+// reclaim_terminated so millions of processes execute in bounded memory.
+// The harness measures:
 //
 //   1. saturation commit throughput (producers submit as fast as the
 //      bounded FIFO queues admit them), then
@@ -17,9 +17,9 @@
 // Per-process submit times are joined to terminations through the
 // SubmitTicket pid futures, and the FIFO admission contract is asserted on
 // the side: a producer that is alone on its shard must see strictly
-// increasing pids. `--json <path>` writes BENCH_latency.json; `--processes
-// N` sizes each phase (default 250000 per phase, two phases per mode =
-// about a million processes per full run).
+// increasing pids. The run fails (nonzero exit) if a phase fails or the
+// FIFO contract is violated. `--json <path>` writes BENCH_latency.json;
+// `--processes N` sizes each phase (default 250000 per phase).
 
 #include <algorithm>
 #include <atomic>
@@ -157,8 +157,7 @@ Percentiles Summarize(std::vector<int64_t>* ns) {
 /// blocking queues allow); otherwise each producer paces submissions on a
 /// fixed open-loop schedule and latency is measured from the scheduled
 /// instant.
-PhaseResult RunPhase(bool batched, int tenants, int64_t total,
-                     double rate_per_s) {
+PhaseResult RunPhase(int tenants, int64_t total, double rate_per_s) {
   PhaseResult result;
   std::vector<Tenant> world;
   for (int t = 0; t < tenants; ++t) {
@@ -176,7 +175,6 @@ PhaseResult RunPhase(bool batched, int tenants, int64_t total,
   options.log_mode = ShardLogMode::kNone;
   options.queue_capacity = 4096;
   options.backpressure = BackpressurePolicy::kBlock;
-  options.batched_admission = batched;
   options.scheduler.reclaim_terminated = true;
   ShardedRuntime runtime(options);
   TerminationRecorder recorder(tenants);
@@ -294,13 +292,6 @@ PhaseResult RunPhase(bool batched, int tenants, int64_t total,
   return result;
 }
 
-struct ModeReport {
-  bool batched = false;
-  PhaseResult saturation;
-  PhaseResult paced;
-  Percentiles latency;  // over paced.latencies_ns, microseconds printed
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -323,63 +314,37 @@ int main(int argc, char** argv) {
             << " tenants/shards, " << processes
             << " processes per phase, hw threads = " << hw << ")\n\n";
 
-  bool all_ok = true;
-  std::vector<ModeReport> reports;
-  for (bool batched : {false, true}) {
-    ModeReport report;
-    report.batched = batched;
-    report.saturation = RunPhase(batched, tenants, processes, -1.0);
-    all_ok = all_ok && report.saturation.ok;
-    double rate = 0.7 * report.saturation.throughput;
-    if (report.saturation.ok && rate > 0) {
-      report.paced = RunPhase(batched, tenants, processes, rate);
-      all_ok = all_ok && report.paced.ok;
-      report.latency = Summarize(&report.paced.latencies_ns);
-    } else if (report.saturation.ok) {
-      report.paced.ok = false;
-      report.paced.error = "saturation throughput was zero";
-      all_ok = false;
-    }
-    const char* label = batched ? "batched   " : "per-process";
-    std::cout << "  " << label << "  saturation: " << std::fixed
-              << std::setprecision(0) << report.saturation.throughput
-              << " commit/s (" << report.saturation.committed << "/"
-              << report.saturation.submitted << " committed, "
-              << report.saturation.aborted << " aborted"
-              << (report.saturation.ok
-                      ? ""
-                      : StrCat(", FAILED: ", report.saturation.error))
-              << ")\n";
-    if (report.paced.ok) {
-      std::cout << "               open-loop @" << std::setprecision(0) << rate
-                << "/s: p50 " << std::setprecision(1)
-                << report.latency.p50 / 1e3 << "us  p99 "
-                << report.latency.p99 / 1e3 << "us  p99.9 "
-                << report.latency.p999 / 1e3 << "us  mean "
-                << report.latency.mean / 1e3 << "us  max "
-                << report.latency.max / 1e6 << "ms  ("
-                << report.paced.latencies_ns.size() << " samples, fifo="
-                << (report.paced.fifo_pids ? "ok" : "VIOLATED") << ")\n";
-      all_ok = all_ok && report.paced.fifo_pids;
-    } else {
-      std::cout << "               open-loop phase FAILED: "
-                << report.paced.error << "\n";
-    }
-    reports.push_back(std::move(report));
+  PhaseResult saturation = RunPhase(tenants, processes, -1.0);
+  const double rate = 0.7 * saturation.throughput;
+  PhaseResult paced;
+  Percentiles latency;  // over paced.latencies_ns
+  if (saturation.ok && rate > 0) {
+    paced = RunPhase(tenants, processes, rate);
+    latency = Summarize(&paced.latencies_ns);
+  } else {
+    paced.ok = false;
+    paced.error = saturation.ok ? "saturation throughput was zero"
+                                : "saturation phase failed";
   }
-
-  double speedup = 0.0;
-  if (reports.size() == 2 && reports[0].saturation.throughput > 0) {
-    speedup =
-        reports[1].saturation.throughput / reports[0].saturation.throughput;
+  std::cout << "  saturation: " << std::fixed << std::setprecision(0)
+            << saturation.throughput << " commit/s (" << saturation.committed
+            << "/" << saturation.submitted << " committed, "
+            << saturation.aborted << " aborted"
+            << (saturation.ok ? "" : StrCat(", FAILED: ", saturation.error))
+            << ")\n";
+  if (paced.ok) {
+    std::cout << "  open-loop @" << std::setprecision(0) << rate
+              << "/s: p50 " << std::setprecision(1) << latency.p50 / 1e3
+              << "us  p99 " << latency.p99 / 1e3 << "us  p99.9 "
+              << latency.p999 / 1e3 << "us  mean " << latency.mean / 1e3
+              << "us  max " << latency.max / 1e6 << "ms  ("
+              << paced.latencies_ns.size() << " samples, fifo="
+              << (paced.fifo_pids ? "ok" : "VIOLATED") << ")\n";
+  } else {
+    std::cout << "  open-loop phase FAILED: " << paced.error << "\n";
   }
-  // Batching amortizes validation and cycle checks; wall-clock noise gets
-  // a tolerance band, so the enforced claim is "no regression".
-  const bool pass = all_ok && speedup >= 0.85;
-  std::cout << "\n  headline: batched/per-process saturation throughput = "
-            << std::fixed << std::setprecision(2) << speedup
-            << "x (require >= 0.85x; expected shape: >= 1x — the batch "
-               "path amortizes per-submission admission work) "
+  const bool pass = saturation.ok && paced.ok && paced.fifo_pids;
+  std::cout << "\n  headline: every phase ok and FIFO pids ascending "
             << (pass ? "[OK]" : "[FAIL]") << "\n";
 
   std::ostringstream json;
@@ -389,59 +354,46 @@ int main(int argc, char** argv) {
                StrCat("bench_latency E23 open-loop submit->commit wall-clock "
                       "latency (",
                       tenants, " tenants, ", processes,
-                      " processes per phase, batched vs per-process "
-                      "admission)"));
+                      " processes per phase)"));
   writer.Field(
       "methodology",
-      "per admission mode: (1) saturation phase — one producer thread per "
-      "tenant submits commuting escrow processes as fast as the bounded "
-      "FIFO queues admit, throughput = committed/seconds; (2) open-loop "
-      "phase at 70% of that throughput — submissions follow a fixed "
-      "schedule, latency = termination instant minus SCHEDULED submit "
-      "instant (backpressure counts, no coordinated omission); submit and "
-      "termination joined via admission-ticket pid futures; shard "
-      "schedulers run with reclaim_terminated (bounded memory); FIFO "
-      "admission asserted via ascending pids on sole-producer shards");
+      "(1) saturation phase — one producer thread per tenant submits "
+      "commuting escrow processes as fast as the bounded FIFO queues "
+      "admit, throughput = committed/seconds; (2) open-loop phase at 70% "
+      "of that throughput — submissions follow a fixed schedule, latency = "
+      "termination instant minus SCHEDULED submit instant (backpressure "
+      "counts, no coordinated omission); submit and termination joined via "
+      "admission-ticket pid futures; shard schedulers run with "
+      "reclaim_terminated (bounded memory); FIFO admission asserted via "
+      "ascending pids on sole-producer shards");
   writer.Field("hardware_threads", hw);
   writer.Field("tenants", tenants);
   writer.Field("processes_per_phase", processes);
-  writer.BeginArray("modes");
-  for (const ModeReport& report : reports) {
-    writer.BeginObject();
-    writer.Field("admission", report.batched ? "batched" : "per_process");
-    writer.BeginObject("saturation");
-    writer.Field("ok", report.saturation.ok);
-    if (!report.saturation.ok) writer.Field("error", report.saturation.error);
-    writer.Field("submitted", report.saturation.submitted);
-    writer.Field("committed", report.saturation.committed);
-    writer.Field("aborted", report.saturation.aborted);
-    writer.Field("seconds", report.saturation.seconds, 6);
-    writer.Field("commit_throughput_per_s", report.saturation.throughput, 1);
-    writer.EndObject();
-    writer.BeginObject("open_loop");
-    writer.Field("ok", report.paced.ok);
-    if (!report.paced.ok) writer.Field("error", report.paced.error);
-    writer.Field("target_rate_per_s", 0.7 * report.saturation.throughput, 1);
-    writer.Field("submitted", report.paced.submitted);
-    writer.Field("committed", report.paced.committed);
-    writer.Field("aborted", report.paced.aborted);
-    writer.Field("samples",
-                 static_cast<int64_t>(report.paced.latencies_ns.size()));
-    writer.Field("fifo_pids_ascending", report.paced.fifo_pids);
-    writer.Field("p50_us", report.latency.p50 / 1e3, 1);
-    writer.Field("p99_us", report.latency.p99 / 1e3, 1);
-    writer.Field("p999_us", report.latency.p999 / 1e3, 1);
-    writer.Field("mean_us", report.latency.mean / 1e3, 1);
-    writer.Field("max_us", report.latency.max / 1e3, 1);
-    writer.EndObject();
-    writer.EndObject();
-  }
-  writer.EndArray();
-  writer.BeginObject("headline");
-  writer.Field("batched_vs_per_process_throughput", speedup, 3);
-  writer.Field("required_min_ratio", 0.85, 2);
-  writer.Field("pass", pass);
+  writer.BeginObject("saturation");
+  writer.Field("ok", saturation.ok);
+  if (!saturation.ok) writer.Field("error", saturation.error);
+  writer.Field("submitted", saturation.submitted);
+  writer.Field("committed", saturation.committed);
+  writer.Field("aborted", saturation.aborted);
+  writer.Field("seconds", saturation.seconds, 6);
+  writer.Field("commit_throughput_per_s", saturation.throughput, 1);
   writer.EndObject();
+  writer.BeginObject("open_loop");
+  writer.Field("ok", paced.ok);
+  if (!paced.ok) writer.Field("error", paced.error);
+  writer.Field("target_rate_per_s", rate, 1);
+  writer.Field("submitted", paced.submitted);
+  writer.Field("committed", paced.committed);
+  writer.Field("aborted", paced.aborted);
+  writer.Field("samples", static_cast<int64_t>(paced.latencies_ns.size()));
+  writer.Field("fifo_pids_ascending", paced.fifo_pids);
+  writer.Field("p50_us", latency.p50 / 1e3, 1);
+  writer.Field("p99_us", latency.p99 / 1e3, 1);
+  writer.Field("p999_us", latency.p999 / 1e3, 1);
+  writer.Field("mean_us", latency.mean / 1e3, 1);
+  writer.Field("max_us", latency.max / 1e3, 1);
+  writer.EndObject();
+  writer.Field("pass", pass);
   writer.EndObject();
 
   if (!json_path.empty()) {

@@ -199,33 +199,11 @@ class TwoPhaseLockingGuard : public AdmissionGuard {
   std::map<ProcessId, std::set<ServiceId>> locks_;
 };
 
-/// One incremental certification for a whole batch of fresh submissions:
-/// every node the scheduler just added must still be edge-free (conflict
-/// edges only appear at activity emission). Edge-free nodes cannot lie on
-/// any cycle, so the extended graph is acyclic iff the old one was — one
-/// O(batch) scan replaces per-process cycle checks.
-bool BatchNodesIsolated(const SchedulerView& view,
-                        const std::vector<ProcessId>& fresh) {
-  const SerializationGraph& graph = view.serialization_graph();
-  for (ProcessId pid : fresh) {
-    if (graph.HasPredecessors(pid)) return false;
-    bool has_successor = false;
-    graph.ForEachSuccessor(pid, [&](ProcessId) { has_successor = true; });
-    if (has_successor) return false;
-  }
-  return true;
-}
-
 /// kUnsafe: serialization-graph testing only — no recovery reasoning, no
 /// Lemma 1 deferral. The negative control of §2.2/Figure 1.
 class UnsafeAdmissionGuard : public AdmissionGuard {
  public:
   explicit UnsafeAdmissionGuard(const SchedulerView& view) : view_(view) {}
-
-  AdmissionDecision AdmitBatch(const std::vector<ProcessId>& fresh) override {
-    return BatchNodesIsolated(view_, fresh) ? AdmissionDecision::kAdmit
-                                            : AdmissionDecision::kDefer;
-  }
 
   AdmissionDecision Admit(const SchedulerView::ProcessView& rt,
                           ActivityId act) override {
@@ -248,11 +226,6 @@ class PredAdmissionGuard : public AdmissionGuard {
  public:
   PredAdmissionGuard(const SchedulerView& view, SchedulerStats* stats)
       : view_(view), stats_(stats) {}
-
-  AdmissionDecision AdmitBatch(const std::vector<ProcessId>& fresh) override {
-    return BatchNodesIsolated(view_, fresh) ? AdmissionDecision::kAdmit
-                                            : AdmissionDecision::kDefer;
-  }
 
   AdmissionDecision Admit(const SchedulerView::ProcessView& rt,
                           ActivityId act) override {

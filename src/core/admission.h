@@ -140,22 +140,6 @@ class AdmissionGuard {
   virtual AdmissionDecision Admit(const SchedulerView::ProcessView& rt,
                                   ActivityId act) = 0;
 
-  /// Certifies a batch of freshly submitted processes in one call. The
-  /// scheduler has already extended the serialization graph with one node
-  /// per entry; the nodes are guaranteed edge-free (submission acquires no
-  /// conflict edges — those appear at activity emission), so extending the
-  /// graph cannot close a cycle and the batch is admissible as a whole.
-  /// SGT-based guards verify that isolation invariant and return kDefer if
-  /// it is violated, which makes the scheduler split the batch and fall
-  /// back to per-process admission — keeping batched outcomes bit-identical
-  /// to the one-at-a-time path. Protocols whose admission state is keyed on
-  /// activity execution (serial token, 2PL lock table) have nothing to
-  /// check at submission time and keep this default.
-  virtual AdmissionDecision AdmitBatch(const std::vector<ProcessId>& fresh) {
-    (void)fresh;
-    return AdmissionDecision::kAdmit;
-  }
-
   /// The engine is about to invoke `service` on behalf of `pid` (this is
   /// where locks / the serial token are taken).
   virtual void OnExecute(ProcessId pid, ServiceId service) {

@@ -8,6 +8,13 @@
 
 namespace tpm {
 
+namespace {
+/// Safety cap on re-invocations of one retriable activity or completion
+/// step (Def. 3 promises finitely many); exceeding it is reported as a
+/// subsystem that violates Def. 3.
+constexpr int kMaxRetries = 1000;
+}  // namespace
+
 TransactionalProcessScheduler::TransactionalProcessScheduler(
     SchedulerOptions options, RecoveryLog* log)
     : options_(options), log_(log) {
@@ -241,9 +248,26 @@ Result<ProcessId> TransactionalProcessScheduler::Submit(
                                      dep.activity, " of P", dep.process));
     }
   }
+  // Admission: intern the pid as a serialization-graph node, then create
+  // its runtime, its history entry and its BEGIN log record. On a history
+  // or log failure the node is removed again and nothing else is kept.
   const ProcessId pid(next_pid_++);
-  TPM_RETURN_IF_ERROR(
-      MaterializeProcess(pid, def, param, std::move(dependencies)));
+  sg_.AddNode(pid);
+  std::unique_ptr<ProcessRuntime> runtime = AcquireRuntime(pid, def);
+  runtime->param = param;
+  runtime->dependencies = std::move(dependencies);
+  runtime->submitted_at = clock_->now();
+  for (ActivityId root : def->Roots()) runtime->ready.insert(root);
+  Status recorded = history_.AddProcess(pid, def);
+  if (recorded.ok() && log_ != nullptr) {
+    recorded = log_->Append({SchedulerLogRecord::Kind::kProcessBegin, pid,
+                             ActivityId(), def->name(), param});
+  }
+  if (!recorded.ok()) {
+    sg_.RemoveNode(pid);
+    return recorded;
+  }
+  EmplaceRuntime(pid, std::move(runtime));
   return pid;
 }
 
@@ -261,88 +285,6 @@ Status TransactionalProcessScheduler::ValidateDef(const ProcessDef* def) {
   }
   validated_defs_.insert(def);
   return Status::OK();
-}
-
-Status TransactionalProcessScheduler::MaterializeProcess(
-    ProcessId pid, const ProcessDef* def, int64_t param,
-    std::vector<ProcessDependency> dependencies) {
-  sg_.AddNode(pid);
-  std::unique_ptr<ProcessRuntime> runtime = AcquireRuntime(pid, def);
-  runtime->param = param;
-  runtime->dependencies = std::move(dependencies);
-  runtime->submitted_at = clock_->now();
-  for (ActivityId root : def->Roots()) runtime->ready.insert(root);
-  Status recorded = history_.AddProcess(pid, def);
-  if (recorded.ok() && log_ != nullptr) {
-    recorded = log_->Append({SchedulerLogRecord::Kind::kProcessBegin, pid,
-                             ActivityId(), def->name(), param});
-  }
-  if (!recorded.ok()) {
-    sg_.RemoveNode(pid);
-    return recorded;
-  }
-  EmplaceRuntime(pid, std::move(runtime));
-  return Status::OK();
-}
-
-std::vector<Result<ProcessId>> TransactionalProcessScheduler::SubmitBatch(
-    const std::vector<BatchSubmission>& batch) {
-  CheckThread("SubmitBatch");
-  DrainReclaimables();
-  std::vector<Result<ProcessId>> results(
-      batch.size(), Result<ProcessId>(Status::Internal("batch slot unset")));
-  // Phase 1: admission checks, memoized per definition — the first
-  // occurrence of a definition pays the full well-formedness + routing
-  // validation, every repeat is a set lookup.
-  std::vector<size_t> valid;
-  valid.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    Status checked = ValidateDef(batch[i].def);
-    if (checked.ok()) {
-      valid.push_back(i);
-    } else {
-      results[i] = checked;
-    }
-  }
-  // Phase 2: allocate the pid range and extend the serialization graph
-  // with one isolated node per admitted process; the guard certifies the
-  // whole extension with ONE incremental cycle check (fresh nodes have no
-  // incident edges, so the extension cannot close a cycle — the guard
-  // verifies exactly that).
-  const int64_t first_pid = next_pid_;
-  std::vector<ProcessId> fresh;
-  fresh.reserve(valid.size());
-  for (size_t k = 0; k < valid.size(); ++k) {
-    ProcessId pid(next_pid_++);
-    sg_.AddNode(pid);
-    fresh.push_back(pid);
-  }
-  if (!fresh.empty() &&
-      guard_->AdmitBatch(fresh) != AdmissionDecision::kAdmit) {
-    // Split on rejection: undo the speculative extension and fall back to
-    // per-process admission, which reproduces the one-at-a-time outcomes
-    // exactly (same pid sequence — nothing else consumed pids).
-    for (ProcessId pid : fresh) sg_.RemoveNode(pid);
-    next_pid_ = first_pid;
-    for (size_t i : valid) {
-      results[i] = Submit(batch[i].def, batch[i].param);
-    }
-    return results;
-  }
-  // Phase 3: materialize runtimes, history entries and WAL records in
-  // batch order — the record sequence is exactly the per-process one.
-  size_t k = 0;
-  for (size_t i : valid) {
-    const ProcessId pid = fresh[k++];
-    Status materialized =
-        MaterializeProcess(pid, batch[i].def, batch[i].param, {});
-    if (materialized.ok()) {
-      results[i] = pid;
-    } else {
-      results[i] = materialized;
-    }
-  }
-  return results;
 }
 
 Result<ProcessId> TransactionalProcessScheduler::SubmitHeld(
@@ -759,10 +701,10 @@ Status TransactionalProcessScheduler::HandleInvocationAbort(ProcessRuntime& rt,
   if (IsRetriableKind(decl.kind)) {
     // Def. 3: guaranteed to commit after finitely many invocations; keep it
     // ready and re-invoke on a later pass.
-    if (++rt.retries[act] > options_.max_retries) {
+    if (++rt.retries[act] > kMaxRetries) {
       return Status::Internal(
           StrCat("retriable activity a", act, " of P", rt.pid, " exceeded ",
-                 options_.max_retries,
+                 kMaxRetries,
                  " retries; the subsystem violates Def. 3"));
     }
     return Status::OK();
@@ -1093,7 +1035,7 @@ Result<bool> TransactionalProcessScheduler::ExecuteCompletionStep(
       // forward completion steps are retriable by the well-formed flex
       // structure: re-invoke on a later pass.
       ++stats_.failed_invocations;
-      if (++rt.retries[step.activity] > options_.max_retries) {
+      if (++rt.retries[step.activity] > kMaxRetries) {
         return Status::Internal(
             StrCat("completion step for a", step.activity, " of P", rt.pid,
                    " exceeded retry cap"));
@@ -1994,7 +1936,7 @@ Status TransactionalProcessScheduler::Recover(
                log_->wal()->size() > log_->wal()->durable_size()) {
       TPM_RETURN_IF_ERROR(log_->Flush());
     }
-    for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
+    for (int attempt = 0; attempt <= kMaxRetries; ++attempt) {
       Result<InvocationOutcome> outcome =
           subsystem->Invoke(service, request);
       if (outcome.ok()) {

@@ -145,30 +145,6 @@ class TransactionalProcessScheduler : private SchedulerView {
   Result<ProcessId> Submit(const ProcessDef* def, int64_t param = 0,
                            std::vector<ProcessDependency> dependencies = {});
 
-  /// One entry of a batched admission (SubmitBatch).
-  struct BatchSubmission {
-    const ProcessDef* def = nullptr;
-    int64_t param = 0;
-  };
-
-  /// Admits a whole batch of processes in one pass — the shard worker's
-  /// per-tick queue drain. Returns one Result per entry, in order, and the
-  /// outcomes are bit-identical to calling Submit once per entry in the
-  /// same order (proven by the batch-equivalence golden test). The batch
-  /// path amortizes the per-submission admission cost: definition
-  /// validation and service routing are memoized per ProcessDef pointer
-  /// (sound because definitions are immutable once validated, must outlive
-  /// their processes, and the routing table only grows), the serialization
-  /// graph is extended with one isolated node per admitted process, and
-  /// the admission guard certifies the whole extension with a single
-  /// incremental cycle check instead of one per process (the multi-level
-  /// amortization: a batch of fresh, edge-free nodes cannot close a
-  /// cycle). If the guard declines the batch, admission falls back to the
-  /// per-process path entry by entry. Inter-process dependencies are not
-  /// supported in batches — submit those through Submit.
-  std::vector<Result<ProcessId>> SubmitBatch(
-      const std::vector<BatchSubmission>& batch);
-
   /// Admits a sub-process of a cross-shard spanning process under the
   /// held-commit protocol: this scheduler acts as a participant of a
   /// distributed 2PC whose coordinator is the cross-shard agent. Every
@@ -416,19 +392,11 @@ class TransactionalProcessScheduler : private SchedulerView {
     affinity_.CheckOrDie("TransactionalProcessScheduler", site);
   }
 
-  /// The per-definition admission checks of Submit and SubmitBatch
-  /// (validated, well-formed flex structure, every service routed),
-  /// memoized per ProcessDef pointer. Only success is cached: a definition
-  /// that fails routing now may pass after more subsystems register.
+  /// The per-definition admission checks of Submit (validated,
+  /// well-formed flex structure, every service routed), memoized per
+  /// ProcessDef pointer. Only success is cached: a definition that fails
+  /// routing now may pass after more subsystems register.
   Status ValidateDef(const ProcessDef* def);
-
-  /// The one admission step of Submit, SubmitHeld and SubmitBatch: interns
-  /// `pid` as a serialization-graph node, then creates its runtime, its
-  /// history entry and its BEGIN log record. On a history or log failure
-  /// the node is removed again and nothing else is kept.
-  Status MaterializeProcess(ProcessId pid, const ProcessDef* def,
-                            int64_t param,
-                            std::vector<ProcessDependency> dependencies);
 
   // Dense runtime table: slot pid.value() - 1 (pids are handed out
   // sequentially from 1; Recover re-creates the original pids).
@@ -440,9 +408,9 @@ class TransactionalProcessScheduler : private SchedulerView {
   /// one is available, else newly allocated.
   std::unique_ptr<ProcessRuntime> AcquireRuntime(ProcessId pid,
                                                  const ProcessDef* def);
-  /// Epoch boundary of the reclaim protocol (start of Submit/SubmitBatch/
-  /// Step): recycles every pruned terminated runtime into the pool and
-  /// compacts the history once enough releases accumulated.
+  /// Epoch boundary of the reclaim protocol (start of Submit and Step):
+  /// recycles every pruned terminated runtime into the pool and compacts
+  /// the history once enough releases accumulated.
   void DrainReclaimables();
 
   bool IsPruned(ProcessId pid) const {

@@ -80,8 +80,6 @@ struct SchedulerOptions {
   /// Re-check PRED on the emitted history after every event (O(n^4) —
   /// tests/small workloads only).
   bool certify_prefixes = false;
-  /// Safety cap on re-invocations of a retriable activity.
-  int max_retries = 1000;
   /// Virtual-time cost model: how many clock ticks an invocation of each
   /// service occupies its process (default 1 for unlisted services). The
   /// scheduler's clock advances one tick per pass; a process busy with a
@@ -116,7 +114,7 @@ struct SchedulerOptions {
   /// footprint has been pruned, its runtime object is recycled into a pool
   /// (reused by later submissions without reallocating its containers) and
   /// its history events are compacted away at epoch boundaries — the start
-  /// of the next Submit/SubmitBatch/Step. Consequences, all opt-in:
+  /// of the next Submit or Step. Consequences, all opt-in:
   /// OutcomeOf answers from a dense outcome table, history() only covers
   /// processes not yet reclaimed, latencies() stays empty (use an observer
   /// or stats()), and per-process Submit dependencies, certify_prefixes and

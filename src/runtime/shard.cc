@@ -49,7 +49,7 @@ Status RuntimeShard::EnqueueSubmission(Submission submission) {
       queue_.Push(std::move(submission), options_.backpressure));
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // Wake a free-running worker; in lockstep the next granted tick
+    // Wake a free-running worker; in lockstep the next round command
     // drains the queue.
   }
   cv_worker_.notify_all();
@@ -62,22 +62,6 @@ void RuntimeShard::PostAgentOp(std::function<void()> op) {
     agent_ops_.push_back(std::move(op));
   }
   cv_worker_.notify_all();
-}
-
-void RuntimeShard::GrantTick() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++ticks_granted_;
-  }
-  cv_worker_.notify_all();
-}
-
-Status RuntimeShard::WaitTickDone() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_client_.wait(lock, [&] {
-    return ticks_done_ >= ticks_granted_ || !error_.ok() || stopped_;
-  });
-  return error_;
 }
 
 void RuntimeShard::PostCommand(std::function<Status()> fn) {
@@ -97,6 +81,21 @@ Status RuntimeShard::WaitCommandDone() {
         StrCat("shard ", options_.index, " stopped before the command ran"));
   }
   return command_status_;
+}
+
+void RuntimeShard::PostRound() {
+  PostCommand([this]() -> Status {
+    bool had_work;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!error_.ok()) return error_;
+      had_work = has_work_;
+    }
+    const bool has_work = RunOnePass(had_work);
+    std::lock_guard<std::mutex> lock(mu_);
+    has_work_ = has_work;
+    return error_;
+  });
 }
 
 Status RuntimeShard::WaitIdle() {
@@ -163,32 +162,12 @@ bool RuntimeShard::RunOnePass(bool had_work) {
     ops.swap(agent_ops_);
   }
   for (std::function<void()>& op : ops) op();
-  std::vector<Submission> submissions = queue_.DrainAll();
   bool admitted = false;
-  for (Submission& submission : submissions) {
-    if (submission.def_owner != nullptr) {
-      retained_defs_.emplace(submission.def_owner.get(),
-                             std::move(submission.def_owner));
-    }
-  }
-  if (options_.batched_admission && !submissions.empty()) {
-    std::vector<TransactionalProcessScheduler::BatchSubmission> batch;
-    batch.reserve(submissions.size());
-    for (const Submission& submission : submissions) {
-      batch.push_back({submission.def, submission.param});
-    }
-    std::vector<Result<ProcessId>> pids = scheduler_->SubmitBatch(batch);
-    for (size_t i = 0; i < submissions.size(); ++i) {
-      admitted = admitted || pids[i].ok();
-      submissions[i].result.set_value(std::move(pids[i]));
-    }
-  } else {
-    for (Submission& submission : submissions) {
-      Result<ProcessId> pid =
-          scheduler_->Submit(submission.def, submission.param);
-      admitted = admitted || pid.ok();
-      submission.result.set_value(std::move(pid));
-    }
+  for (Submission& submission : queue_.DrainAll()) {
+    Result<ProcessId> pid =
+        scheduler_->Submit(submission.def, submission.param);
+    admitted = admitted || pid.ok();
+    submission.result.set_value(std::move(pid));
   }
   bool has_work = had_work || admitted || !ops.empty();
   if (has_work) {
@@ -209,10 +188,9 @@ void RuntimeShard::WorkerLoop() {
   for (;;) {
     cv_worker_.wait(lock, [&] {
       if (stop_requested_ || command_ != nullptr) return true;
-      if (!error_.ok()) return false;  // sticky error: only commands/stop
-      if (options_.mode == TickMode::kLockstep) {
-        return ticks_granted_ > ticks_done_;
-      }
+      // Lockstep passes arrive as round commands; a sticky error leaves
+      // only commands and stop.
+      if (options_.mode == TickMode::kLockstep || !error_.ok()) return false;
       return has_work_ || !queue_.empty() || !agent_ops_.empty();
     });
     if (command_ != nullptr) {
@@ -235,10 +213,7 @@ void RuntimeShard::WorkerLoop() {
     lock.lock();
     busy_ = false;
     has_work_ = has_work;
-    if (options_.mode == TickMode::kLockstep) {
-      ++ticks_done_;
-      cv_client_.notify_all();
-    } else if (!has_work_ && queue_.empty()) {
+    if (!error_.ok() || (!has_work_ && queue_.empty())) {
       cv_client_.notify_all();  // idle waiters
     }
   }

@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -20,12 +19,13 @@ namespace tpm {
 
 /// How shard workers advance.
 enum class TickMode {
-  /// Workers step only when the tick driver grants a round, and every
-  /// round is: drain the submission queue in FIFO order, then one
-  /// scheduling pass. All shard clocks advance in lockstep (tick t
-  /// completes on every shard before tick t+1 starts anywhere) and each
-  /// shard's execution is a deterministic function of its submission
-  /// order — the mode tests replay and compare against solo schedulers.
+  /// Workers step only when the tick driver posts a round command
+  /// (PostRound), and every round is: drain the submission queue in FIFO
+  /// order, then one scheduling pass. All shard clocks advance in lockstep
+  /// (tick t completes on every shard before tick t+1 starts anywhere)
+  /// and each shard's execution is a deterministic function of its
+  /// submission order — the mode tests replay and compare against solo
+  /// schedulers.
   kLockstep,
   /// Workers loop as fast as the hardware allows, sleeping only when
   /// idle. Shard clocks drift freely relative to each other (they are
@@ -45,8 +45,8 @@ enum class ShardLogMode {
 /// recovery log, driven by a dedicated worker thread that is the
 /// scheduler's sole owner (the scheduler's thread-affinity guard enforces
 /// this). The shard never touches another shard's state; all cross-thread
-/// traffic funnels through the bounded SubmissionQueue, a small
-/// command/tick protocol under one mutex, and published stats snapshots.
+/// traffic funnels through the bounded SubmissionQueue, one command
+/// channel under one mutex, and published stats snapshots.
 class RuntimeShard {
  public:
   struct Options {
@@ -57,11 +57,6 @@ class RuntimeShard {
     TickMode mode = TickMode::kFreeRunning;
     ShardLogMode log_mode = ShardLogMode::kMemory;
     std::string wal_path;  // kFile only
-    /// Admit each per-pass queue drain through Scheduler::SubmitBatch (one
-    /// batched validation + graph extension + guard check instead of N).
-    /// Admission outcomes are bit-identical either way; off = the
-    /// per-process reference path.
-    bool batched_admission = true;
   };
 
   explicit RuntimeShard(Options options);
@@ -99,17 +94,19 @@ class RuntimeShard {
   /// FIFO is fine, self-deadlock is not an issue since ops only append).
   void PostAgentOp(std::function<void()> op);
 
-  /// Lockstep driver protocol: grant one round, then wait for its
-  /// completion. WaitTickDone returns the shard's sticky error, if any.
-  void GrantTick();
-  Status WaitTickDone();
-
   /// Runs `fn` on the worker thread. PostCommand enqueues (one command at
   /// a time — the control plane is single-threaded); WaitCommandDone
   /// blocks until the worker finished it and returns its status. Used for
-  /// Recover, so every shard can replay its WAL concurrently.
+  /// lockstep rounds (PostRound) and for Recover, so every shard can
+  /// replay its WAL concurrently.
   void PostCommand(std::function<Status()> fn);
   Status WaitCommandDone();
+
+  /// Lockstep driver: posts one round as a command. The round returns the
+  /// shard's sticky error without running a pass if one is set; otherwise
+  /// it runs one pass (drain + admit, then one scheduling step) and
+  /// returns the sticky error the pass may have recorded.
+  void PostRound();
 
   /// Free-running mode: blocks until the shard has no queued submissions
   /// and its scheduler reports no remaining work (or the shard errored).
@@ -125,7 +122,8 @@ class RuntimeShard {
   /// draining concurrently).
   size_t QueueDepth() const { return queue_.size(); }
 
-  /// Sticky shard error (a failed Step/Submit pass or command).
+  /// Sticky shard error (a failed scheduling pass). Once set, the worker
+  /// runs no further pass; commands still run.
   Status status() const;
 
   /// Closes the queue, stops the worker WITHOUT draining remaining work
@@ -149,12 +147,6 @@ class RuntimeShard {
   std::unique_ptr<RecoveryLog> log_;
   std::unique_ptr<TransactionalProcessScheduler> scheduler_;
   SubmissionQueue queue_;
-  /// Definitions whose ownership was transferred with the submission
-  /// (Submission::def_owner): the scheduler keeps raw ProcessDef pointers
-  /// for the life of each admitted process, so the shard holds them until
-  /// it is destroyed. Worker-thread only (and the destructor, after join).
-  std::map<const ProcessDef*, std::shared_ptr<const ProcessDef>>
-      retained_defs_;
 
   std::thread worker_;
   bool stopped_ = false;
@@ -169,8 +161,6 @@ class RuntimeShard {
   /// submissions may not have been stepped yet, so `!has_work_ &&
   /// queue_.empty()` alone would report idle too early.
   bool busy_ = false;
-  int64_t ticks_granted_ = 0;
-  int64_t ticks_done_ = 0;
   std::deque<std::function<void()>> agent_ops_;
   std::function<Status()> command_;
   bool command_done_ = false;

@@ -16,47 +16,6 @@ int ShardRouter::ShardOfService(ServiceId service) const {
   return partition_->ShardOfService(*spec_, service);
 }
 
-Result<int> ShardRouter::RouteProcess(const ProcessDef& def) const {
-  int shard = -1;
-  ActivityId first_activity;
-  ServiceId first_service;
-  auto visit = [&](const ActivityDecl& decl, ServiceId service,
-                   const char* role) -> Status {
-    const int owner = ShardOfService(service);
-    if (owner < 0) {
-      return Status::NotFound(StrCat("process '", def.name(), "', activity '",
-                                     decl.name, "' (a", decl.id, ", ", role,
-                                     "): service ", service,
-                                     " is not registered with the runtime"));
-    }
-    if (shard < 0) {
-      shard = owner;
-      first_activity = decl.id;
-      first_service = service;
-      return Status::OK();
-    }
-    if (owner != shard) {
-      return Status::InvalidArgument(StrCat(
-          "process '", def.name(), "' spans shards: activity '", decl.name,
-          "' (a", decl.id, ", ", role, ") invokes service ", service,
-          " on shard ", owner, ", but activity a", first_activity,
-          " already pinned the process to shard ", shard, " via service ",
-          first_service,
-          "; submit via a runtime with cross-shard support (Decide/Split) "
-          "or colocate the services"));
-    }
-    return Status::OK();
-  };
-  for (const ActivityDecl& decl : def.activities()) {
-    TPM_RETURN_IF_ERROR(visit(decl, decl.service, "forward"));
-    if (decl.compensation_service.valid()) {
-      TPM_RETURN_IF_ERROR(
-          visit(decl, decl.compensation_service, "compensation"));
-    }
-  }
-  return shard < 0 ? 0 : shard;
-}
-
 Result<std::vector<int>> ShardRouter::OwnerShards(
     const ProcessDef& def) const {
   std::vector<int> owner(def.num_activities(), -1);

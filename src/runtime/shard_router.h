@@ -99,13 +99,6 @@ class ShardRouter {
   Result<SplitPlan> Split(const ProcessDef& def,
                           const std::string& name_prefix) const;
 
-  /// Single-shard routing with the original positioned diagnostics: the
-  /// shard owning `def`'s footprint, NotFound for an unregistered service,
-  /// InvalidArgument for a spanning footprint. A definition with an empty
-  /// footprint routes to shard 0. (Callers that can handle spanning
-  /// processes use Decide() instead.)
-  Result<int> RouteProcess(const ProcessDef& def) const;
-
   /// Shard owning `service`, or -1 if unknown. The partition is fixed at
   /// Start, so routing is a pure function of it.
   int ShardOfService(ServiceId service) const;

@@ -197,7 +197,6 @@ Status ShardedRuntime::Start() {
     shard_options.scheduler = options_.scheduler;
     shard_options.queue_capacity = options_.queue_capacity;
     shard_options.backpressure = options_.backpressure;
-    shard_options.batched_admission = options_.batched_admission;
     shard_options.mode = options_.mode;
     shard_options.log_mode = options_.log_mode;
     if (options_.log_mode == ShardLogMode::kFile) {
@@ -212,7 +211,6 @@ Status ShardedRuntime::Start() {
 
   // Register each subsystem with the scheduler of the shard owning its
   // services (all on one shard — its implicit colocation group).
-  shard_of_subsystem_.clear();
   for (Subsystem* subsystem : subsystems_) {
     std::vector<ServiceId> ids = subsystem->services().AllIds();
     if (ids.empty()) {
@@ -226,7 +224,6 @@ Status ShardedRuntime::Start() {
     }
     TPM_RETURN_IF_ERROR(
         shards_[shard]->scheduler()->RegisterSubsystem(subsystem));
-    shard_of_subsystem_.push_back(shard);
   }
   // Extra conflicts also go to the owning shard's local scheduler spec;
   // the partition guarantees both endpoints landed on the same shard.
@@ -262,18 +259,6 @@ Status ShardedRuntime::Start() {
 
 Result<SubmitTicket> ShardedRuntime::Submit(const ProcessDef* def,
                                             int64_t param) {
-  return SubmitInternal(def, /*owner=*/nullptr, param);
-}
-
-Result<SubmitTicket> ShardedRuntime::Submit(
-    std::shared_ptr<const ProcessDef> def, int64_t param) {
-  const ProcessDef* raw = def.get();
-  return SubmitInternal(raw, std::move(def), param);
-}
-
-Result<SubmitTicket> ShardedRuntime::SubmitInternal(
-    const ProcessDef* def, std::shared_ptr<const ProcessDef> owner,
-    int64_t param) {
   if (!started_.load() || stopped_.load()) {
     return Status::Unavailable("runtime is not running");
   }
@@ -284,13 +269,6 @@ Result<SubmitTicket> ShardedRuntime::SubmitInternal(
     return decision.error;
   }
   if (decision.kind == RouteKind::kSplit) {
-    if (owner != nullptr) {
-      // The agent re-splits from the original definition for the life of
-      // the span (and recovery re-derives slices from it), so the runtime
-      // itself keeps the owner.
-      std::lock_guard<std::mutex> lock(retained_defs_mu_);
-      retained_span_defs_.push_back(owner);
-    }
     Result<SubmitTicket> ticket = agent_->Begin(def, param);
     if (!ticket.ok()) {
       submissions_rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -303,7 +281,6 @@ Result<SubmitTicket> ShardedRuntime::SubmitInternal(
 
   Submission submission;
   submission.def = def;
-  submission.def_owner = std::move(owner);
   submission.param = param;
   SubmitTicket ticket;
   ticket.shard = shard;
@@ -325,15 +302,11 @@ Status ShardedRuntime::Tick(int64_t rounds) {
     return Status::FailedPrecondition(
         "Tick is the lockstep driver; free-running shards self-drive");
   }
-  Status first_error;
   for (int64_t round = 0; round < rounds; ++round) {
-    // Barrier semantics: grant round t to every shard, then wait for all
+    // Barrier semantics: post round t to every shard, then wait for all
     // of them — no shard starts t+1 before every shard finished t.
-    for (auto& shard : shards_) shard->GrantTick();
-    for (auto& shard : shards_) {
-      Status status = shard->WaitTickDone();
-      if (!status.ok() && first_error.ok()) first_error = status;
-    }
+    for (auto& shard : shards_) shard->PostRound();
+    Status first_error = WaitShardCommands();
     ++lockstep_rounds_;
     // Deterministic agent turn: relay the round's queued shard events
     // (votes, terminals) and let the agent post its ops for round t+1.
@@ -352,10 +325,9 @@ Status ShardedRuntime::Drain(int64_t max_rounds) {
       agent_->Pump();
       bool all_idle = true;
       for (auto& shard : shards_) {
-        if (!shard->IsIdle()) {
-          all_idle = false;
-          break;
-        }
+        // An errored shard is idle forever; report it instead.
+        TPM_RETURN_IF_ERROR(shard->status());
+        all_idle = all_idle && shard->IsIdle();
       }
       if (all_idle) {
         // A spanning process parked on a remote shard's prepare is BUSY,
@@ -535,24 +507,9 @@ TransactionalProcessScheduler* ShardedRuntime::shard_scheduler(int shard) {
   return shards_[shard]->scheduler();
 }
 
-VirtualClock* ShardedRuntime::shard_clock(int shard) {
-  if (shard < 0 || shard >= static_cast<int>(shards_.size())) return nullptr;
-  return shards_[shard]->clock();
-}
-
 RecoveryLog* ShardedRuntime::shard_log(int shard) {
   if (shard < 0 || shard >= static_cast<int>(shards_.size())) return nullptr;
   return shards_[shard]->log();
-}
-
-int ShardedRuntime::ShardOfSubsystem(const Subsystem* subsystem) const {
-  for (size_t i = 0; i < subsystems_.size(); ++i) {
-    if (subsystems_[i] == subsystem &&
-        i < shard_of_subsystem_.size()) {
-      return shard_of_subsystem_[i];
-    }
-  }
-  return -1;
 }
 
 SpanOutcome ShardedRuntime::SpanningOutcome(int64_t gsn) const {

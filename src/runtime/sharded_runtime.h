@@ -55,9 +55,10 @@ struct ShardedRuntimeOptions {
   /// Bounded submission queue per shard, and what a full one does.
   size_t queue_capacity = 1024;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  /// Each worker admits its per-pass queue drain through one batched
-  /// Scheduler::SubmitBatch call (outcomes bit-identical to per-process
-  /// admission; off = the reference path, useful for A/B benching).
+  /// Ignored: every worker admits each queued submission with
+  /// Scheduler::Submit. Kept only because tpmbench/workloads.cc assigns
+  /// it; the next change to the benchmark deletes that assignment and
+  /// this field.
   bool batched_admission = true;
   /// Lockstep (deterministic, driven by Tick/Drain) or free-running
   /// (workers self-drive; Drain blocks until quiescence).
@@ -146,26 +147,21 @@ class ShardedRuntime {
   /// Lifetime contract: the caller retains ownership of *def and must keep
   /// it valid until the runtime is STOPPED — the shard scheduler stores
   /// the raw pointer for the life of the admitted process and its history,
-  /// not merely until the queue drains. A producer that cannot guarantee
-  /// that uses the shared_ptr overload below, which transfers ownership
-  /// across the queue so the definition survives the producer.
+  /// not merely until the queue drains.
   Result<SubmitTicket> Submit(const ProcessDef* def, int64_t param = 0);
 
-  /// Ownership-transferring submission: the runtime keeps the definition
-  /// alive for as long as any shard scheduler may dereference it, so the
-  /// producer may drop its reference as soon as this returns.
-  Result<SubmitTicket> Submit(std::shared_ptr<const ProcessDef> def,
-                              int64_t param = 0);
-
-  /// Lockstep only: drives `rounds` global tick rounds (every shard
-  /// completes round t before any shard starts t+1 — the shard clocks
-  /// advance in lockstep).
+  /// Lockstep only: drives `rounds` global tick rounds, each posted to
+  /// every shard as a round command (every shard completes round t before
+  /// any shard starts t+1 — the shard clocks advance in lockstep). Returns
+  /// the first shard's sticky error, in shard order, after the round in
+  /// which it appeared and on every later call.
   Status Tick(int64_t rounds = 1);
 
   /// Runs until every shard is idle (queue empty, scheduler out of work).
   /// Lockstep: drives tick rounds up to `max_rounds`. Free-running: blocks
-  /// on the workers. No concurrent Submit may race a Drain — quiescence
-  /// would be a moving target.
+  /// on the workers. Either way a shard's sticky error is returned. No
+  /// concurrent Submit may race a Drain — quiescence would be a moving
+  /// target.
   Status Drain(int64_t max_rounds = 1'000'000);
 
   /// Crash recovery. First the coordinator WAL is replayed (CrossShardAgent
@@ -196,13 +192,9 @@ class ShardedRuntime {
 
   /// Shard coordinates, for tests and post-Stop inspection. The scheduler
   /// pointer is only safe to USE from this thread before Start or after
-  /// Stop (its own affinity guard enforces that); the clock only after
-  /// Stop.
+  /// Stop (its own affinity guard enforces that).
   TransactionalProcessScheduler* shard_scheduler(int shard);
-  VirtualClock* shard_clock(int shard);
   RecoveryLog* shard_log(int shard);
-  /// Shard owning `subsystem` (by its first service), or -1.
-  int ShardOfSubsystem(const Subsystem* subsystem) const;
 
   /// Per-shard producer-side queue depth snapshot (any thread, any
   /// configuration; approximate by nature).
@@ -223,10 +215,6 @@ class ShardedRuntime {
 
  private:
   class ShardObserverRelay;
-
-  Result<SubmitTicket> SubmitInternal(const ProcessDef* def,
-                                      std::shared_ptr<const ProcessDef> owner,
-                                      int64_t param);
 
   /// Waits for every shard's posted command; returns the first error in
   /// shard order.
@@ -249,7 +237,6 @@ class ShardedRuntime {
   std::vector<std::unique_ptr<RuntimeShard>> shards_;
   std::unique_ptr<CrossShardAgent> agent_;
   std::vector<std::unique_ptr<ShardObserverRelay>> relays_;
-  std::vector<int> shard_of_subsystem_;
 
   // Lifecycle flags are read by Submit from arbitrary producer threads
   // while the control-plane thread runs Start/Stop; atomics keep those
@@ -259,12 +246,6 @@ class ShardedRuntime {
 
   std::mutex observer_mu_;
   std::vector<RuntimeObserver*> observers_;
-
-  // Owned definitions for spanning submissions (the cross-shard agent
-  // re-splits from the original def); pinned submissions travel their
-  // owner inside the Submission instead.
-  std::mutex retained_defs_mu_;
-  std::vector<std::shared_ptr<const ProcessDef>> retained_span_defs_;
 
   std::atomic<int64_t> submissions_accepted_{0};
   std::atomic<int64_t> submissions_rejected_{0};

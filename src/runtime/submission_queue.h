@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <deque>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -34,12 +33,9 @@ enum class BackpressurePolicy {
 ///
 /// Lifetime: the scheduler stores `def` for the whole life of the admitted
 /// process (runtime state, history, recovery), so it must stay valid until
-/// the runtime stops — not merely until the queue drains. A producer that
-/// cannot guarantee that sets `def_owner`; the shard worker then retains
-/// the definition for as long as its scheduler may dereference it.
+/// the runtime stops — not merely until the queue drains.
 struct Submission {
   const ProcessDef* def = nullptr;
-  std::shared_ptr<const ProcessDef> def_owner;  // optional ownership transfer
   int64_t param = 0;
   std::promise<Result<ProcessId>> result;
 };

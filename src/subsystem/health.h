@@ -22,18 +22,6 @@ namespace tpm {
 ///               cooldown.
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
-inline const char* BreakerStateName(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half-open";
-  }
-  return "?";
-}
-
 /// Monotone health-event counters a subsystem reports for stats
 /// aggregation; plain subsystems report zeros.
 struct SubsystemHealthCounters {

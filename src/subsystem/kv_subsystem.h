@@ -117,7 +117,6 @@ class KvSubsystem : public Subsystem {
   /// failure, so a script of k failures with max_attempts > k commits on
   /// the first scheduler-visible invocation.
   void SetRetryPolicy(RetryPolicy policy) { retry_policy_ = policy; }
-  const RetryPolicy& retry_policy() const { return retry_policy_; }
 
   /// Attaches the shared simulation clock: internal retry backoff then
   /// advances it (clamped by an active invocation deadline — a retry loop

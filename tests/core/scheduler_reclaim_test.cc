@@ -76,8 +76,7 @@ TEST(SchedulerReclaimTest, HistoryAndRuntimeFootprintStayBounded) {
   EXPECT_LT(scheduler.history().processes().size(), 3u);
 }
 
-TEST(SchedulerReclaimTest, BatchSubmissionWorksWithReclaim) {
-  using BatchSubmission = TransactionalProcessScheduler::BatchSubmission;
+TEST(SchedulerReclaimTest, SubmitRoundsWorkWithReclaim) {
   MiniWorld world;
   // Distinct keys so concurrent admission commits everything.
   const ProcessDef* d1 = world.MakeChain("m1", "c:k1 p:l1");
@@ -92,9 +91,8 @@ TEST(SchedulerReclaimTest, BatchSubmissionWorksWithReclaim) {
 
   std::vector<ProcessId> pids;
   for (int round = 0; round < 50; ++round) {
-    std::vector<Result<ProcessId>> results =
-        scheduler.SubmitBatch({BatchSubmission{d1, 0}, BatchSubmission{d2, 0}});
-    for (const Result<ProcessId>& r : results) {
+    for (const ProcessDef* def : {d1, d2}) {
+      Result<ProcessId> r = scheduler.Submit(def);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       pids.push_back(*r);
     }
@@ -220,9 +218,8 @@ TEST(SchedulerReclaimTest, NoEmitterRowNamesAPrunedProcess) {
     for (int round = 0; round < 30; ++round) {
       // Admission makes every process a graph node up front, so leaving
       // the graph means being pruned.
-      std::vector<TransactionalProcessScheduler::BatchSubmission> batch;
-      for (const ProcessDef* def : defs) batch.push_back({def, 0});
-      for (const Result<ProcessId>& pid : scheduler.SubmitBatch(batch)) {
+      for (const ProcessDef* def : defs) {
+        Result<ProcessId> pid = scheduler.Submit(def);
         ASSERT_TRUE(pid.ok()) << pid.status().ToString();
         pids.push_back(*pid);
       }

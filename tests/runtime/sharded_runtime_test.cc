@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "common/fingerprint.h"
@@ -17,6 +18,7 @@
 #include "core/pred.h"
 #include "core/recoverability.h"
 #include "core/schedule.h"
+#include "log/wal.h"
 #include "testing/fault_injector.h"
 #include "workload/sharded_world.h"
 
@@ -424,39 +426,63 @@ TEST(ShardedRuntimeTest, FreeRunningDrainReachesQuiescence) {
             static_cast<int64_t>(defs.size()));
 }
 
-// The ownership-transferring Submit overload: the producer drops its
-// reference to the definition immediately after submitting, and only the
-// runtime's retained reference keeps it alive while the shard scheduler
-// admits, runs, and records the process. ASan turns any lifetime hole
-// here into a hard use-after-free failure.
-TEST(ShardedRuntimeTest, SharedPtrSubmissionOutlivesProducerReference) {
-  ShardedWorld world({.seed = 31, .num_tenants = 1});
-  (void)BuildWorkload(&world, 1);  // registers the services
-  ShardedRuntimeOptions options;
-  options.num_shards = 1;
-  options.mode = TickMode::kFreeRunning;
-  ShardedRuntime runtime(options);
-  ASSERT_TRUE(world.RegisterAll(&runtime).ok());
-  ASSERT_TRUE(runtime.Start().ok());
-  std::vector<SubmitTicket> tickets;
-  for (int i = 0; i < 8; ++i) {
-    auto def = std::make_shared<ProcessDef>(
-        *world.MakeOrderProcess(0, "ephemeral_" + std::to_string(i)));
-    auto ticket =
-        runtime.Submit(std::shared_ptr<const ProcessDef>(def), /*param=*/i);
-    ASSERT_TRUE(ticket.ok()) << ticket.status();
-    tickets.push_back(*ticket);
-    def.reset();  // producer's reference is gone before the worker drains
+// A shard whose pass fails (here: its WAL dies at the second append, the
+// first activity record after the process's BEGIN) records a sticky error.
+// Lockstep Tick reports it, and later Ticks and Drains report it again
+// without running another pass on that shard (a later submission stays
+// queued); free-running Drain reports it the same way. Every shard is idle
+// after the failure — the failed one has no admitted work left and the
+// other never had any — so Drain must not mistake that for quiescence.
+TEST(ShardedRuntimeTest, FailedShardPassIsStickyAcrossTickAndDrain) {
+  for (TickMode mode : {TickMode::kLockstep, TickMode::kFreeRunning}) {
+    const bool lockstep = mode == TickMode::kLockstep;
+    SCOPED_TRACE(lockstep ? "lockstep" : "free-running");
+    ShardedWorld world({.seed = 41, .num_tenants = 2});
+    ASSERT_NE(world.MakeOrderProcess(0, "unused"), nullptr);  // tenant 0
+    const ProcessDef* doomed = world.MakeOrderProcess(1, "doomed");
+    const ProcessDef* late = world.MakeOrderProcess(1, "late");
+    ASSERT_NE(doomed, nullptr);
+    ASSERT_NE(late, nullptr);
+    ShardedRuntimeOptions options;
+    options.num_shards = 2;
+    options.mode = mode;
+    ShardedRuntime runtime(options);
+    ASSERT_TRUE(world.RegisterAll(&runtime).ok());
+    ASSERT_TRUE(runtime.Start().ok());
+    const int bad = runtime.partition().ShardOfService(
+        runtime.union_spec(), world.TenantServices(1).front());
+    ASSERT_NE(bad, runtime.partition().ShardOfService(
+                       runtime.union_spec(), world.TenantServices(0).front()));
+    testing::FaultInjector crash;
+    crash.ArmAtSite(kWalCrashSiteAppend, 2);
+    // Armed before the worker first touches the WAL: the submission below
+    // hands it over through the shard's queue.
+    runtime.shard_log(bad)->wal()->SetCrashPointListener(&crash);
+    auto doomed_ticket = runtime.Submit(doomed);
+    ASSERT_TRUE(doomed_ticket.ok());
+
+    const Status first = lockstep ? runtime.Tick() : runtime.Drain();
+    ASSERT_FALSE(first.ok());
+    EXPECT_TRUE(crash.triggered());
+    EXPECT_EQ(first.message().rfind("shard " + std::to_string(bad) + ": ", 0),
+              0u)
+        << first;
+    EXPECT_EQ(runtime.Drain(), first);  // every shard idle
+    auto late_ticket = runtime.Submit(late);
+    ASSERT_TRUE(late_ticket.ok());
+    if (lockstep) EXPECT_EQ(runtime.Tick(), first);
+    EXPECT_EQ(runtime.Drain(), first);
+    EXPECT_EQ(runtime.QueueDepths()[bad], 1u);
+    // The doomed process was admitted before its shard failed; the late
+    // one is failed by Stop, never admitted.
+    EXPECT_TRUE(doomed_ticket->Await().ok());
+    ASSERT_TRUE(runtime.Stop().ok());
+    Result<ProcessId> late_pid = late_ticket->Await();
+    ASSERT_FALSE(late_pid.ok());
+    EXPECT_NE(late_pid.status().message().find("stopped before admission"),
+              std::string::npos)
+        << late_pid.status();
   }
-  ASSERT_TRUE(runtime.Drain().ok());
-  ASSERT_TRUE(runtime.Stop().ok());
-  for (auto& ticket : tickets) {
-    auto pid = ticket.Await();
-    ASSERT_TRUE(pid.ok()) << pid.status();
-    EXPECT_EQ(runtime.shard_scheduler(ticket.shard)->OutcomeOf(*pid),
-              ProcessOutcome::kCommitted);
-  }
-  EXPECT_TRUE(world.CheckAdtInvariants().ok());
 }
 
 // Stats() is documented thread-safe; hammering it from a polling thread
