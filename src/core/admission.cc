@@ -53,12 +53,21 @@ bool RemainderConflicts(const SchedulerView& view,
 std::vector<ProcessId> VirtualCompletionTargets(const SchedulerView& view,
                                                 ProcessId self,
                                                 ServiceId service) {
+  // A process whose remainder conflicts with `service` has an activity on
+  // one of its partners (RemainderConflicts tests exactly that relation),
+  // so the partners' footprint rows hold every target.
   std::vector<ProcessId> targets;
-  view.ForEachActiveProcess([&](const SchedulerView::ProcessView& other) {
-    if (other.pid == self) return;
-    if (RemainderConflicts(view, other, service)) targets.push_back(other.pid);
+  for (ServiceId partner : view.conflict_spec().PartnersOf(service)) {
+    view.ForEachActiveOnService(partner, [&](ProcessId p) {
+      if (p != self) targets.push_back(p);
+    });
+  }
+  SortUnique(&targets);
+  std::erase_if(targets, [&](ProcessId p) {
+    std::optional<SchedulerView::ProcessView> other = view.FindProcess(p);
+    return !other.has_value() || !RemainderConflicts(view, *other, service);
   });
-  return targets;  // ForEachActiveProcess visits in ascending pid order
+  return targets;
 }
 
 bool EmittedConflictsWithRemainder(const SchedulerView& view,

@@ -42,21 +42,6 @@ class SchedulerView {
   /// View of a known (active or terminated, not-yet-pruned) process.
   virtual std::optional<ProcessView> FindProcess(ProcessId pid) const = 0;
 
-  /// Invokes fn for every known process, in ascending pid order.
-  virtual void ForEachProcess(
-      const std::function<void(const ProcessView&)>& fn) const = 0;
-
-  /// Invokes fn for every ACTIVE process, in ascending pid order. The
-  /// admission hot path iterates active processes far more often than it
-  /// iterates everything, and long-running schedulers accumulate terminated
-  /// runtimes — implementations with an active index override this.
-  virtual void ForEachActiveProcess(
-      const std::function<void(const ProcessView&)>& fn) const {
-    ForEachProcess([&](const ProcessView& p) {
-      if (p.state->IsActive()) fn(p);
-    });
-  }
-
   /// True iff `pid` emitted an instance of `service` (and its conflict
   /// footprint has not been reclaimed yet).
   virtual bool HasEmitted(ProcessId pid, ServiceId service) const = 0;
@@ -64,6 +49,14 @@ class SchedulerView {
   /// Invokes fn for every process that emitted an instance of `service`,
   /// in ascending pid order.
   virtual void ForEachEmitter(
+      ServiceId service, const std::function<void(ProcessId)>& fn) const = 0;
+
+  /// Invokes fn for every ACTIVE process whose definition declares an
+  /// activity on `service` (its service footprint), in ascending pid
+  /// order. Compensations count as `service` (perfect commutativity), so
+  /// every process whose remainder could conflict with a service lies in
+  /// the footprint rows of that service's conflict partners.
+  virtual void ForEachActiveOnService(
       ServiceId service, const std::function<void(ProcessId)>& fn) const = 0;
 };
 
@@ -91,7 +84,9 @@ bool RemainderConflicts(const SchedulerView& view,
                         ServiceId service, bool include_compensations = true);
 
 /// Active processes (!= self) whose potential completion could conflict with
-/// `service` (the §3.5 virtual-serialization-edge targets).
+/// `service` (the §3.5 virtual-serialization-edge targets). Only the
+/// footprint rows of `service`'s conflict partners are candidates, so the
+/// cost is O(|PartnersOf(service)| + candidates), not O(active set).
 std::vector<ProcessId> VirtualCompletionTargets(const SchedulerView& view,
                                                 ProcessId self,
                                                 ServiceId service);

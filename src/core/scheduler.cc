@@ -42,14 +42,14 @@ Status TransactionalProcessScheduler::RegisterSubsystem(Subsystem* subsystem) {
   for (ServiceId service : subsystem->services().AllIds()) {
     spec_.RegisterService(service);
   }
-  EnsureEmitterRows();
+  EnsureServiceRows();
   return Status::OK();
 }
 
 void TransactionalProcessScheduler::AddConflict(ServiceId a, ServiceId b) {
   CheckThread("AddConflict");
   spec_.AddConflict(a, b);
-  EnsureEmitterRows();
+  EnsureServiceRows();
 }
 
 Result<Subsystem*> TransactionalProcessScheduler::RouteService(
@@ -91,11 +91,13 @@ void TransactionalProcessScheduler::EmplaceRuntime(
     auto it = std::lower_bound(active_pids_.begin(), active_pids_.end(), pid);
     if (it == active_pids_.end() || *it != pid) active_pids_.insert(it, pid);
   }
+  AddFootprint(*runtimes_[slot]);
 }
 
-void TransactionalProcessScheduler::DeactivatePid(ProcessId pid) {
-  auto it = std::lower_bound(active_pids_.begin(), active_pids_.end(), pid);
-  if (it != active_pids_.end() && *it == pid) active_pids_.erase(it);
+void TransactionalProcessScheduler::DeactivatePid(const ProcessRuntime& rt) {
+  auto it = std::lower_bound(active_pids_.begin(), active_pids_.end(), rt.pid);
+  if (it != active_pids_.end() && *it == rt.pid) active_pids_.erase(it);
+  RemoveFootprint(rt);
 }
 
 void TransactionalProcessScheduler::MarkPruned(ProcessId pid) {
@@ -150,16 +152,17 @@ void TransactionalProcessScheduler::DrainReclaimables() {
   }
 }
 
-void TransactionalProcessScheduler::EnsureEmitterRows() {
+void TransactionalProcessScheduler::EnsureServiceRows() {
   if (service_emitters_.size() < spec_.NumServices()) {
     service_emitters_.resize(spec_.NumServices());
+    service_footprint_.resize(spec_.NumServices());
   }
 }
 
 void TransactionalProcessScheduler::AddEmitter(ServiceId service,
                                                ProcessId pid) {
   int index = spec_.RegisterService(service);
-  EnsureEmitterRows();
+  EnsureServiceRows();
   std::vector<ProcessId>& row = service_emitters_[index];
   auto it = std::lower_bound(row.begin(), row.end(), pid);
   if (it == row.end() || *it != pid) row.insert(it, pid);
@@ -180,28 +183,39 @@ void TransactionalProcessScheduler::RemoveEmitter(const ProcessRuntime& rt) {
   }
 }
 
+void TransactionalProcessScheduler::AddFootprint(const ProcessRuntime& rt) {
+  for (const ActivityDecl& decl : rt.def->activities()) {
+    const int index = spec_.RegisterService(decl.service);
+    EnsureServiceRows();
+    std::vector<ProcessId>& row = service_footprint_[index];
+    // Pids activate ascending, so this is an append; a definition with
+    // several activities on one service finds itself already at the back.
+    if (row.empty() || row.back() < rt.pid) {
+      row.push_back(rt.pid);
+    } else {
+      auto it = std::lower_bound(row.begin(), row.end(), rt.pid);
+      if (it == row.end() || *it != rt.pid) row.insert(it, rt.pid);
+    }
+  }
+}
+
+void TransactionalProcessScheduler::RemoveFootprint(const ProcessRuntime& rt) {
+  for (const ActivityDecl& decl : rt.def->activities()) {
+    const int index = spec_.IndexOf(decl.service);
+    if (index < 0 || static_cast<size_t>(index) >= service_footprint_.size()) {
+      continue;
+    }
+    std::vector<ProcessId>& row = service_footprint_[index];
+    auto it = std::lower_bound(row.begin(), row.end(), rt.pid);
+    if (it != row.end() && *it == rt.pid) row.erase(it);
+  }
+}
+
 std::optional<SchedulerView::ProcessView>
 TransactionalProcessScheduler::FindProcess(ProcessId pid) const {
   const ProcessRuntime* rt = FindRuntime(pid);
   if (rt == nullptr) return std::nullopt;
   return ViewOf(*rt);
-}
-
-void TransactionalProcessScheduler::ForEachProcess(
-    const std::function<void(const ProcessView&)>& fn) const {
-  for (const auto& rt : runtimes_) {
-    if (rt != nullptr) fn(ViewOf(*rt));
-  }
-}
-
-void TransactionalProcessScheduler::ForEachActiveProcess(
-    const std::function<void(const ProcessView&)>& fn) const {
-  // active_pids_ is sorted ascending, so visit order matches the slot scan
-  // of ForEachProcess restricted to active processes.
-  for (ProcessId pid : active_pids_) {
-    const ProcessRuntime* rt = FindRuntime(pid);
-    if (rt != nullptr) fn(ViewOf(*rt));
-  }
 }
 
 bool TransactionalProcessScheduler::HasEmitted(ProcessId pid,
@@ -221,6 +235,15 @@ void TransactionalProcessScheduler::ForEachEmitter(
     return;
   }
   for (ProcessId pid : service_emitters_[index]) fn(pid);
+}
+
+void TransactionalProcessScheduler::ForEachActiveOnService(
+    ServiceId service, const std::function<void(ProcessId)>& fn) const {
+  int index = spec_.IndexOf(service);
+  if (index < 0 || static_cast<size_t>(index) >= service_footprint_.size()) {
+    return;
+  }
+  for (ProcessId pid : service_footprint_[index]) fn(pid);
 }
 
 // ---------------------------------------------------------------------------
@@ -1154,7 +1177,7 @@ Status TransactionalProcessScheduler::FinishProcess(ProcessRuntime& rt,
   }
   // Immediately after the outcome flip, so the active index stays
   // consistent with the state even if the WAL append below fails.
-  DeactivatePid(rt.pid);
+  DeactivatePid(rt);
   if (log_ != nullptr) {
     TPM_RETURN_IF_ERROR(log_->Append(
         {committed ? SchedulerLogRecord::Kind::kProcessCommitted
@@ -1694,6 +1717,7 @@ void TransactionalProcessScheduler::Crash() {
   history_ = ProcessSchedule();
   sg_.Clear();
   for (std::vector<ProcessId>& row : service_emitters_) row.clear();
+  for (std::vector<ProcessId>& row : service_footprint_) row.clear();
   guard_->Reset();
 }
 
@@ -1810,10 +1834,14 @@ Status TransactionalProcessScheduler::Recover(
   }
 
   // Replay flipped outcomes directly (no FinishProcess), so rebuild the
-  // active index before anything consumes it — slot order keeps it sorted.
+  // active and footprint indexes before anything consumes them — slot
+  // order keeps both sorted.
   active_pids_.clear();
+  for (std::vector<ProcessId>& row : service_footprint_) row.clear();
   for (const auto& rt : runtimes_) {
-    if (rt != nullptr && rt->state.IsActive()) active_pids_.push_back(rt->pid);
+    if (rt == nullptr || !rt->state.IsActive()) continue;
+    active_pids_.push_back(rt->pid);
+    AddFootprint(*rt);
   }
 
   // Resolve in-doubt spanning sub-processes (Lemma 1 generalized so a

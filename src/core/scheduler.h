@@ -181,6 +181,14 @@ class TransactionalProcessScheduler : private SchedulerView {
   /// it is for tests and diagnostics, not for hot paths.
   bool InAnyEmitterRow(ProcessId pid) const;
 
+  /// The read-only state the admission layer consumes (core/admission.h),
+  /// for tests and diagnostics. Same single-thread contract as every
+  /// accessor; views it hands out are invalidated by the next mutator.
+  const SchedulerView& admission_view() const {
+    CheckThread("admission_view");
+    return *this;
+  }
+
   /// Held processes that voted but have not yet received a decision —
   /// they are externally in flight (the runtime's idle accounting must
   /// treat them as busy).
@@ -373,12 +381,11 @@ class TransactionalProcessScheduler : private SchedulerView {
     return sg_;
   }
   std::optional<ProcessView> FindProcess(ProcessId pid) const override;
-  void ForEachProcess(
-      const std::function<void(const ProcessView&)>& fn) const override;
-  void ForEachActiveProcess(
-      const std::function<void(const ProcessView&)>& fn) const override;
   bool HasEmitted(ProcessId pid, ServiceId service) const override;
   void ForEachEmitter(
+      ServiceId service,
+      const std::function<void(ProcessId)>& fn) const override;
+  void ForEachActiveOnService(
       ServiceId service,
       const std::function<void(ProcessId)>& fn) const override;
 
@@ -418,13 +425,17 @@ class TransactionalProcessScheduler : private SchedulerView {
     return slot < pruned_.size() && pruned_[slot] != 0;
   }
   void MarkPruned(ProcessId pid);
-  /// Drops `pid` from the sorted active index (no-op if absent).
-  void DeactivatePid(ProcessId pid);
+  /// Drops `rt` from the sorted active index and from its footprint rows
+  /// (no-op if absent).
+  void DeactivatePid(const ProcessRuntime& rt);
 
-  // Dense per-service emitter index (rows follow spec_'s interning).
-  void EnsureEmitterRows();
+  // Dense per-service emitter and footprint indexes (rows follow spec_'s
+  // interning).
+  void EnsureServiceRows();
   void AddEmitter(ServiceId service, ProcessId pid);
   void RemoveEmitter(const ProcessRuntime& rt);
+  void AddFootprint(const ProcessRuntime& rt);
+  void RemoveFootprint(const ProcessRuntime& rt);
 
   // Execution steps.
   Result<bool> TryExecuteProcess(ProcessRuntime& rt);
@@ -484,9 +495,9 @@ class TransactionalProcessScheduler : private SchedulerView {
   /// reclaim_terminated, null again once the runtime was recycled).
   std::vector<std::unique_ptr<ProcessRuntime>> runtimes_;
   /// Active pids, sorted ascending — the index behind every "for each
-  /// active process" scan (Step, deadlock resolution, the admission
-  /// view). Maintained at EmplaceRuntime/FinishProcess, rebuilt by
-  /// Recover (replay flips outcomes without FinishProcess).
+  /// active process" scan (Step, deadlock resolution). Maintained at
+  /// EmplaceRuntime/FinishProcess, rebuilt by Recover (replay flips
+  /// outcomes without FinishProcess).
   std::vector<ProcessId> active_pids_;
   /// Dense flag per pid slot: terminated and serialization-graph
   /// bookkeeping reclaimed.
@@ -515,6 +526,11 @@ class TransactionalProcessScheduler : private SchedulerView {
   /// service dense index -> processes that emitted an instance of it
   /// (sorted ascending). Conflict partners come from spec_.PartnersOf.
   std::vector<std::vector<ProcessId>> service_emitters_;
+  /// service dense index -> active processes whose definition declares an
+  /// activity on it (sorted ascending): the §3.5 completion pre-order
+  /// reads the rows of a service's partners instead of the active set.
+  /// Holds exactly the pids of active_pids_ and is maintained with it.
+  std::vector<std::vector<ProcessId>> service_footprint_;
 
   /// Per-protocol admission policy (owns the kSerial token / the
   /// kTwoPhaseLocking lock table).

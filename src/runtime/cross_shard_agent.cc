@@ -46,6 +46,7 @@ CrossShardAgent::CrossShardAgent(
     std::vector<std::unique_ptr<RuntimeShard>>* shards)
     : options_(std::move(options)), router_(router), shards_(shards) {
   live_.resize(shards_->size());
+  held_.resize(shards_->size());
 }
 
 CrossShardAgent::~CrossShardAgent() { Shutdown(); }
@@ -213,6 +214,7 @@ void CrossShardAgent::RunSubmitOp(int64_t gsn, bool is_tail, int index) {
     HandleSubFailure(st, SubRef{gsn, is_tail, index});
     return;
   }
+  held_[static_cast<size_t>(shard)].insert(*pid);
   // The gsn order is the composite serialization order: on every shard,
   // each spanning slice is SGT-ordered after every earlier-gsn slice
   // still alive there, so the global order is acyclic by construction.
@@ -269,6 +271,8 @@ void CrossShardAgent::OnCommitHeld(int shard, ProcessId pid) {
 
 void CrossShardAgent::OnProcessTerminated(int shard, ProcessId pid,
                                           ProcessOutcome outcome) {
+  // A pinned process is none of the agent's business.
+  if (held_[static_cast<size_t>(shard)].erase(pid) == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
   Event event;
   event.shard = shard;

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/flat_containers.h"
 #include "common/ids.h"
 #include "common/status.h"
 #include "core/process.h"
@@ -72,9 +73,10 @@ enum class SpanOutcome {
 ///    the presumed-abort decisions after the shard replays).
 ///
 /// Threading: the agent is threadless. Its state lives behind one mutex;
-/// shard events arrive from worker threads (handled inline when
-/// free-running, queued in a mailbox and pumped deterministically by the
-/// lockstep driver between rounds), and all scheduler calls are posted to
+/// shard events of held slices arrive from worker threads (handled inline
+/// when free-running, queued in a mailbox and pumped deterministically by
+/// the lockstep driver between rounds) — the termination of a pinned
+/// process returns before the mutex — and all scheduler calls are posted to
 /// the owning shard's worker via RuntimeShard::PostAgentOp (never made
 /// while holding the agent mutex — a resolve can terminate a process
 /// synchronously, which echoes back into the agent through the observer
@@ -112,7 +114,9 @@ class CrossShardAgent {
   Result<SubmitTicket> Begin(const ProcessDef* def, int64_t param);
 
   /// Shard events, forwarded by the runtime's observer relay (worker
-  /// threads). Unknown pids are ignored (non-spanning processes).
+  /// threads). Only held slices (admitted by SubmitHeld) vote; a
+  /// termination of any other process returns without taking the agent
+  /// mutex.
   void OnCommitHeld(int shard, ProcessId pid);
   void OnProcessTerminated(int shard, ProcessId pid, ProcessOutcome outcome);
 
@@ -253,6 +257,15 @@ class CrossShardAgent {
 
   std::unique_ptr<RenamingListener> renamer_;
   std::unique_ptr<Wal> wal_;  // null with ShardLogMode::kNone
+
+  /// Per shard: pids of the held slices admitted there and not yet
+  /// terminated. Each set is touched only by its shard's worker thread —
+  /// inserted by RunSubmitOp right after SubmitHeld, erased by
+  /// OnProcessTerminated — so it needs no lock. Recovery leaves it alone:
+  /// the slices live at a crash keep their pids through the shard replay,
+  /// which terminates them, and the agent then ignores their events
+  /// (RecoverScan cleared by_pid_).
+  std::vector<FlatSet<ProcessId>> held_;
 
   mutable std::mutex mu_;
   Status error_;

@@ -536,6 +536,8 @@ Result<ProcessSchedule> ShardedRuntime::GlobalProjection() {
 
 void ShardedRuntime::RelayEvent(
     const std::function<void(RuntimeObserver*)>& fn) {
+  // Observers are fixed after Start, so the unlocked read is race-free.
+  if (observers_.empty()) return;
   std::lock_guard<std::mutex> lock(observer_mu_);
   for (RuntimeObserver* observer : observers_) fn(observer);
 }
