@@ -9,7 +9,7 @@
 namespace tpm {
 
 EscrowSubsystem::EscrowSubsystem(SubsystemId id, std::string name)
-    : id_(id), name_(std::move(name)) {}
+    : AdtSubsystem(id, std::move(name), "escrow") {}
 
 Status EscrowSubsystem::CreateCounter(const std::string& counter,
                                       int64_t initial, int64_t low_bound) {
@@ -18,35 +18,14 @@ Status EscrowSubsystem::CreateCounter(const std::string& counter,
         StrCat("counter ", counter, " initial balance ", initial,
                " below low bound ", low_bound));
   }
-  Counter& c = EnsureCounter(counter);
+  Counter& c = counters_[counter];
   c.balance = initial;
   c.low_bound = low_bound;
   return Status::OK();
 }
 
-EscrowSubsystem::Counter& EscrowSubsystem::EnsureCounter(
-    const std::string& counter) {
-  return counters_[counter];
-}
-
-Status EscrowSubsystem::RegisterOp(ServiceDef def, OpType type,
-                                   const std::string& counter,
-                                   int64_t amount) {
-  if (amount <= 0) {
-    return Status::InvalidArgument(
-        StrCat("service ", def.name, ": non-positive amount ", amount));
-  }
-  def.read_set = {counter};
-  if (type != OpType::kRead) def.write_set = {counter};
-  // The registry requires a body, but this subsystem dispatches on the op
-  // binding instead of executing bodies against a KvStore.
-  def.body = [](KvStore*, const ServiceRequest&, int64_t*) {
-    return Status::Internal("escrow services are not body-executed");
-  };
-  TPM_RETURN_IF_ERROR(registry_.Register(def));
-  EnsureCounter(counter);
-  bindings_[def.id] = OpBinding{type, counter, amount};
-  return Status::OK();
+void EscrowSubsystem::AddObject(const std::string& counter) {
+  counters_.try_emplace(counter);
 }
 
 Status EscrowSubsystem::RegisterIncService(ServiceId id,
@@ -58,7 +37,7 @@ Status EscrowSubsystem::RegisterIncService(ServiceId id,
   def.op_kind = "escrow.inc";
   def.inverse_op_kind = "escrow.dec";
   def.commutes_with = {"escrow.inc", "escrow.dec", "escrow.withdraw"};
-  return RegisterOp(std::move(def), OpType::kInc, counter, amount);
+  return RegisterOp(std::move(def), kInc, counter, amount);
 }
 
 Status EscrowSubsystem::RegisterDecService(ServiceId id,
@@ -70,7 +49,7 @@ Status EscrowSubsystem::RegisterDecService(ServiceId id,
   def.op_kind = "escrow.dec";
   def.inverse_op_kind = "escrow.inc";
   // Commuting pairs arrive via inc's declarations plus perfect-closure.
-  return RegisterOp(std::move(def), OpType::kDec, counter, amount);
+  return RegisterOp(std::move(def), kDec, counter, amount);
 }
 
 Status EscrowSubsystem::RegisterWithdrawService(ServiceId id,
@@ -83,7 +62,7 @@ Status EscrowSubsystem::RegisterWithdrawService(ServiceId id,
   // No inverse: withdraws sit at non-compensatable positions (pivot /
   // retriable). Commutativity with inc/dec is declared from the inc side;
   // withdraw/withdraw stays a conflict.
-  return RegisterOp(std::move(def), OpType::kWithdraw, counter, amount);
+  return RegisterOp(std::move(def), kWithdraw, counter, amount);
 }
 
 Status EscrowSubsystem::RegisterReadService(ServiceId id,
@@ -92,10 +71,10 @@ Status EscrowSubsystem::RegisterReadService(ServiceId id,
   def.id = id;
   def.name = StrCat("escrow.read/", counter);
   def.effect_free = true;
-  return RegisterOp(std::move(def), OpType::kRead, counter, 1);
+  return RegisterOp(std::move(def), kRead, counter);
 }
 
-Status EscrowSubsystem::Apply(const OpBinding& op, Counter& c,
+Status EscrowSubsystem::Apply(const OpBinding& op,
                               const ServiceRequest& request, int64_t* ret,
                               std::function<void()>* undo) {
   const int64_t a = request.param == 0 ? op.amount : request.param;
@@ -103,9 +82,10 @@ Status EscrowSubsystem::Apply(const OpBinding& op, Counter& c,
     return Status::InvalidArgument(StrCat("non-positive amount ", a));
   }
   const int64_t pid = request.process.value();
-  const std::string counter = op.counter;
-  switch (op.type) {
-    case OpType::kInc: {
+  const std::string counter = op.object;
+  Counter& c = counters_[counter];
+  switch (op.op) {
+    case kInc: {
       c.balance += a;
       c.pending[pid] += a;
       c.pending_total += a;
@@ -129,7 +109,7 @@ Status EscrowSubsystem::Apply(const OpBinding& op, Counter& c,
       }
       return Status::OK();
     }
-    case OpType::kDec: {
+    case kDec: {
       auto it = c.pending.find(pid);
       if (it != c.pending.end() && it->second >= a) {
         // Def. 2 infallibility: the compensating dec consumes the
@@ -155,7 +135,7 @@ Status EscrowSubsystem::Apply(const OpBinding& op, Counter& c,
       // withdraw.
       [[fallthrough]];
     }
-    case OpType::kWithdraw: {
+    case kWithdraw: {
       if (c.stable() - a < c.low_bound) {
         ++exhaustion_aborts_;
         return Status::Aborted(
@@ -169,7 +149,7 @@ Status EscrowSubsystem::Apply(const OpBinding& op, Counter& c,
       }
       return Status::OK();
     }
-    case OpType::kRead: {
+    case kRead: {
       *ret = c.balance;
       if (undo != nullptr) *undo = []() {};
       return Status::OK();
@@ -178,90 +158,9 @@ Status EscrowSubsystem::Apply(const OpBinding& op, Counter& c,
   return Status::Internal("unreachable escrow op type");
 }
 
-bool EscrowSubsystem::OpsCommuteLocally(OpType a, OpType b) {
-  if (a == OpType::kRead || b == OpType::kRead) return a == b;
-  return !(a == OpType::kWithdraw && b == OpType::kWithdraw);
-}
-
-bool EscrowSubsystem::WouldBlock(ServiceId service) const {
-  auto it = bindings_.find(service);
-  if (it == bindings_.end()) return false;
-  for (const auto& [tx, prep] : prepared_) {
-    auto pit = bindings_.find(prep.service);
-    if (pit == bindings_.end()) continue;
-    if (pit->second.counter != it->second.counter) continue;
-    if (!OpsCommuteLocally(it->second.type, pit->second.type)) return true;
-  }
-  return false;
-}
-
-Result<InvocationOutcome> EscrowSubsystem::Invoke(
-    ServiceId service, const ServiceRequest& request) {
-  ++invocations_;
-  auto it = bindings_.find(service);
-  if (it == bindings_.end()) {
-    return Status::NotFound(StrCat("unknown escrow service ", service));
-  }
-  if (WouldBlock(service)) {
-    return Status::Unavailable(
-        StrCat("escrow service ", service, " blocked by a prepared op"));
-  }
-  int64_t ret = 0;
-  TPM_RETURN_IF_ERROR(Apply(it->second, EnsureCounter(it->second.counter),
-                            request, &ret, nullptr));
-  return InvocationOutcome{ret};
-}
-
-Result<PreparedHandle> EscrowSubsystem::InvokePrepared(
-    ServiceId service, const ServiceRequest& request) {
-  ++invocations_;
-  auto it = bindings_.find(service);
-  if (it == bindings_.end()) {
-    return Status::NotFound(StrCat("unknown escrow service ", service));
-  }
-  if (WouldBlock(service)) {
-    return Status::Unavailable(
-        StrCat("escrow service ", service, " blocked by a prepared op"));
-  }
-  int64_t ret = 0;
-  std::function<void()> undo;
-  TPM_RETURN_IF_ERROR(Apply(it->second, EnsureCounter(it->second.counter),
-                            request, &ret, &undo));
-  // The op executed against live state (commuting ops cannot observe the
-  // difference; non-commuting ones are blocked above until resolution);
-  // abort reverses it via the captured undo.
-  TxId tx(next_tx_++);
-  prepared_[tx] = PreparedOp{service, std::move(undo)};
-  return PreparedHandle{tx, ret};
-}
-
-Status EscrowSubsystem::CommitPrepared(TxId tx) {
-  auto it = prepared_.find(tx);
-  if (it == prepared_.end()) {
-    return Status::NotFound(StrCat("unknown prepared escrow tx ", tx));
-  }
-  prepared_.erase(it);
-  return Status::OK();
-}
-
-Status EscrowSubsystem::AbortPrepared(TxId tx) {
-  auto it = prepared_.find(tx);
-  if (it == prepared_.end()) {
-    return Status::NotFound(StrCat("unknown prepared escrow tx ", tx));
-  }
-  it->second.undo();
-  prepared_.erase(it);
-  return Status::OK();
-}
-
-Status EscrowSubsystem::AbortAllPrepared() {
-  // Presumed abort on recovery: undo in reverse prepare order (LIFO), the
-  // order a cascaded rollback would use.
-  for (auto it = prepared_.rbegin(); it != prepared_.rend(); ++it) {
-    it->second.undo();
-  }
-  prepared_.clear();
-  return Status::OK();
+bool EscrowSubsystem::OpsCommuteLocally(int a, int b) const {
+  if (a == kRead || b == kRead) return a == b;
+  return !(a == kWithdraw && b == kWithdraw);
 }
 
 void EscrowSubsystem::OnProcessResolved(ProcessId process, bool /*committed*/) {
@@ -325,8 +224,7 @@ Status EscrowSubsystem::CheckInvariants() const {
   return Status::OK();
 }
 
-uint64_t EscrowSubsystem::StateFingerprint() const {
-  uint64_t h = kFnv1aOffsetBasis;
+uint64_t EscrowSubsystem::FoldState(uint64_t h) const {
   for (const auto& [name, c] : counters_) {
     h = Fnv1a(h, name);
     h = Fnv1aInt(h, static_cast<uint64_t>(c.balance));
@@ -337,8 +235,6 @@ uint64_t EscrowSubsystem::StateFingerprint() const {
       h = Fnv1aInt(h, static_cast<uint64_t>(credit));
     }
   }
-  h = Fnv1aInt(h, static_cast<uint64_t>(next_tx_));
-  h = Fnv1aInt(h, static_cast<uint64_t>(invocations_));
   h = Fnv1aInt(h, static_cast<uint64_t>(exhaustion_aborts_));
   return h;
 }

@@ -5,12 +5,10 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/ids.h"
 #include "common/status.h"
-#include "subsystem/kv_subsystem.h"
-#include "subsystem/service.h"
+#include "subsystem/adt_subsystem.h"
 
 namespace tpm {
 
@@ -44,6 +42,7 @@ namespace tpm {
 /// compensation that cannot fail): it consumes the process's own pending
 /// credit, which the escrow test never handed out to anyone else.
 ///
+/// Invocation and the prepared state come from the AdtSubsystem core.
 /// Counter state survives a scheduler crash (subsystems are the durable
 /// periphery, as with KvSubsystem); prepared transactions are rolled back
 /// by AbortAllPrepared during recovery (presumed abort), and per-process
@@ -51,16 +50,9 @@ namespace tpm {
 /// resolved (OnProcessResolved). Credit orphaned by a crash is folded into
 /// the stable balance on recovery — a conservative availability release,
 /// never a safety loss.
-class EscrowSubsystem : public Subsystem {
+class EscrowSubsystem : public AdtSubsystem {
  public:
   EscrowSubsystem(SubsystemId id, std::string name);
-
-  EscrowSubsystem(const EscrowSubsystem&) = delete;
-  EscrowSubsystem& operator=(const EscrowSubsystem&) = delete;
-
-  SubsystemId id() const override { return id_; }
-  const std::string& name() const override { return name_; }
-  const ServiceRegistry& services() const override { return registry_; }
 
   /// Creates a counter with the given initial balance and lower bound
   /// (the escrow test keeps balance >= low_bound at all times).
@@ -80,16 +72,7 @@ class EscrowSubsystem : public Subsystem {
   /// conservative read/write conflicts).
   Status RegisterReadService(ServiceId id, const std::string& counter);
 
-  Result<InvocationOutcome> Invoke(ServiceId service,
-                                   const ServiceRequest& request) override;
-  Result<PreparedHandle> InvokePrepared(ServiceId service,
-                                        const ServiceRequest& request) override;
-  Status CommitPrepared(TxId tx) override;
-  Status AbortPrepared(TxId tx) override;
-  bool WouldBlock(ServiceId service) const override;
-  Status AbortAllPrepared() override;
   void OnProcessResolved(ProcessId process, bool committed) override;
-  uint64_t StateFingerprint() const override;
 
   int64_t BalanceOf(const std::string& counter) const;
   /// Stable headroom above the lower bound: what the escrow test would let
@@ -104,11 +87,10 @@ class EscrowSubsystem : public Subsystem {
   /// balance - pending >= low_bound (the escrow test's safety envelope).
   Status CheckInvariants() const;
 
-  int64_t invocations() const { return invocations_; }
   int64_t exhaustion_aborts() const { return exhaustion_aborts_; }
 
  private:
-  enum class OpType { kInc, kDec, kWithdraw, kRead };
+  enum OpType { kInc, kDec, kWithdraw, kRead };
 
   struct Counter {
     int64_t balance = 0;
@@ -123,38 +105,15 @@ class EscrowSubsystem : public Subsystem {
     int64_t stable() const { return balance - pending_total; }
   };
 
-  struct OpBinding {
-    OpType type;
-    std::string counter;
-    int64_t amount = 1;
-  };
+  void AddObject(const std::string& counter) override;
+  Status Apply(const OpBinding& op, const ServiceRequest& request,
+               int64_t* ret, std::function<void()>* undo) override;
+  /// Everything commutes except withdraw/withdraw, and reads
+  /// conservatively conflict with every update.
+  bool OpsCommuteLocally(int a, int b) const override;
+  uint64_t FoldState(uint64_t h) const override;
 
-  struct PreparedOp {
-    ServiceId service;
-    std::function<void()> undo;
-  };
-
-  Status RegisterOp(ServiceDef def, OpType type, const std::string& counter,
-                    int64_t amount);
-  /// The closed commutativity table at subsystem level, mirroring the op
-  /// metadata the services declare to the scheduler: everything commutes
-  /// except withdraw/withdraw, and reads conservatively conflict with every
-  /// update.
-  static bool OpsCommuteLocally(OpType a, OpType b);
-  Counter& EnsureCounter(const std::string& counter);
-  /// Executes the op against `c`; fills `ret` and, when `undo` is non-null,
-  /// a closure restoring the prior state (prepared invocations).
-  Status Apply(const OpBinding& op, Counter& c, const ServiceRequest& request,
-               int64_t* ret, std::function<void()>* undo);
-
-  SubsystemId id_;
-  std::string name_;
-  ServiceRegistry registry_;
-  std::map<ServiceId, OpBinding> bindings_;
   std::map<std::string, Counter> counters_;
-  std::map<TxId, PreparedOp> prepared_;
-  int64_t next_tx_ = 1;
-  int64_t invocations_ = 0;
   int64_t exhaustion_aborts_ = 0;
 };
 

@@ -9,7 +9,7 @@
 namespace tpm {
 
 QueueSubsystem::QueueSubsystem(SubsystemId id, std::string name)
-    : id_(id), name_(std::move(name)) {}
+    : AdtSubsystem(id, std::move(name), "queue") {}
 
 Status QueueSubsystem::CreateQueue(const std::string& queue,
                                    int initial_tokens) {
@@ -17,30 +17,15 @@ Status QueueSubsystem::CreateQueue(const std::string& queue,
     return Status::InvalidArgument(
         StrCat("queue ", queue, ": negative initial token count"));
   }
-  Queue& q = EnsureQueue(queue);
+  Queue& q = queues_[queue];
   for (int i = 0; i < initial_tokens; ++i) {
     q.tokens.push_back(next_token_++);
   }
   return Status::OK();
 }
 
-QueueSubsystem::Queue& QueueSubsystem::EnsureQueue(const std::string& queue) {
-  return queues_[queue];
-}
-
-Status QueueSubsystem::RegisterOp(ServiceDef def, OpType type,
-                                  const std::string& queue) {
-  def.read_set = {queue};
-  if (type != OpType::kLen) def.write_set = {queue};
-  // The registry requires a body, but this subsystem dispatches on the op
-  // binding instead of executing bodies against a KvStore.
-  def.body = [](KvStore*, const ServiceRequest&, int64_t*) {
-    return Status::Internal("queue services are not body-executed");
-  };
-  TPM_RETURN_IF_ERROR(registry_.Register(def));
-  EnsureQueue(queue);
-  bindings_[def.id] = OpBinding{type, queue};
-  return Status::OK();
+void QueueSubsystem::AddObject(const std::string& queue) {
+  queues_.try_emplace(queue);
 }
 
 Status QueueSubsystem::RegisterEnqueueService(ServiceId id,
@@ -51,7 +36,7 @@ Status QueueSubsystem::RegisterEnqueueService(ServiceId id,
   def.op_kind = "queue.enq";
   def.inverse_op_kind = "queue.rm";
   def.commutes_with = {"queue.enq"};
-  return RegisterOp(std::move(def), OpType::kEnq, queue);
+  return RegisterOp(std::move(def), kEnq, queue);
 }
 
 Status QueueSubsystem::RegisterDequeueService(ServiceId id,
@@ -63,7 +48,7 @@ Status QueueSubsystem::RegisterDequeueService(ServiceId id,
   def.inverse_op_kind = "queue.req";
   // No commuting pairs: a dequeue races for the head with every other
   // queue update.
-  return RegisterOp(std::move(def), OpType::kDeq, queue);
+  return RegisterOp(std::move(def), kDeq, queue);
 }
 
 Status QueueSubsystem::RegisterRemoveService(ServiceId id,
@@ -74,7 +59,7 @@ Status QueueSubsystem::RegisterRemoveService(ServiceId id,
   def.op_kind = "queue.rm";
   def.inverse_op_kind = "queue.enq";
   // Commuting pairs arrive via enq's declaration plus perfect-closure.
-  return RegisterOp(std::move(def), OpType::kRm, queue);
+  return RegisterOp(std::move(def), kRm, queue);
 }
 
 Status QueueSubsystem::RegisterRequeueService(ServiceId id,
@@ -84,7 +69,7 @@ Status QueueSubsystem::RegisterRequeueService(ServiceId id,
   def.name = StrCat("queue.req/", queue);
   def.op_kind = "queue.req";
   def.inverse_op_kind = "queue.deq";
-  return RegisterOp(std::move(def), OpType::kReq, queue);
+  return RegisterOp(std::move(def), kReq, queue);
 }
 
 Status QueueSubsystem::RegisterLenService(ServiceId id,
@@ -93,17 +78,17 @@ Status QueueSubsystem::RegisterLenService(ServiceId id,
   def.id = id;
   def.name = StrCat("queue.len/", queue);
   def.effect_free = true;
-  return RegisterOp(std::move(def), OpType::kLen, queue);
+  return RegisterOp(std::move(def), kLen, queue);
 }
 
 Status QueueSubsystem::Apply(const OpBinding& op, const ServiceRequest& request,
                              int64_t* ret, std::function<void()>* undo) {
-  Queue& q = EnsureQueue(op.queue);
-  const std::string queue = op.queue;
+  const std::string queue = op.object;
+  Queue& q = queues_[queue];
   const std::pair<int64_t, int64_t> key{request.process.value(),
                                         request.activity.value()};
-  switch (op.type) {
-    case OpType::kEnq: {
+  switch (op.op) {
+    case kEnq: {
       const int64_t token = next_token_++;
       q.tokens.push_back(token);
       enqueued_by_activity_[key] = token;
@@ -119,7 +104,7 @@ Status QueueSubsystem::Apply(const OpBinding& op, const ServiceRequest& request,
       }
       return Status::OK();
     }
-    case OpType::kDeq: {
+    case kDeq: {
       if (q.tokens.empty()) {
         ++empty_dequeues_;
         return Status::Aborted(StrCat("queue ", queue, " is empty"));
@@ -136,7 +121,7 @@ Status QueueSubsystem::Apply(const OpBinding& op, const ServiceRequest& request,
       }
       return Status::OK();
     }
-    case OpType::kRm: {
+    case kRm: {
       auto rec = enqueued_by_activity_.find(key);
       if (rec == enqueued_by_activity_.end()) {
         return Status::Aborted(
@@ -164,7 +149,7 @@ Status QueueSubsystem::Apply(const OpBinding& op, const ServiceRequest& request,
       }
       return Status::OK();
     }
-    case OpType::kReq: {
+    case kReq: {
       auto rec = dequeued_by_activity_.find(key);
       if (rec == dequeued_by_activity_.end()) {
         return Status::Aborted(
@@ -186,7 +171,7 @@ Status QueueSubsystem::Apply(const OpBinding& op, const ServiceRequest& request,
       }
       return Status::OK();
     }
-    case OpType::kLen: {
+    case kLen: {
       *ret = static_cast<int64_t>(q.tokens.size());
       if (undo != nullptr) *undo = []() {};
       return Status::OK();
@@ -195,89 +180,11 @@ Status QueueSubsystem::Apply(const OpBinding& op, const ServiceRequest& request,
   return Status::Internal("unreachable queue op type");
 }
 
-bool QueueSubsystem::OpsCommuteLocally(OpType a, OpType b) {
-  if (a == OpType::kLen || b == OpType::kLen) return a == b;
-  if (a == OpType::kDeq || a == OpType::kReq) return false;
-  if (b == OpType::kDeq || b == OpType::kReq) return false;
+bool QueueSubsystem::OpsCommuteLocally(int a, int b) const {
+  if (a == kLen || b == kLen) return a == b;
+  if (a == kDeq || a == kReq) return false;
+  if (b == kDeq || b == kReq) return false;
   return true;  // enq/rm pairs
-}
-
-bool QueueSubsystem::WouldBlock(ServiceId service) const {
-  auto it = bindings_.find(service);
-  if (it == bindings_.end()) return false;
-  for (const auto& [tx, prep] : prepared_) {
-    auto pit = bindings_.find(prep.service);
-    if (pit == bindings_.end()) continue;
-    if (pit->second.queue != it->second.queue) continue;
-    if (!OpsCommuteLocally(it->second.type, pit->second.type)) return true;
-  }
-  return false;
-}
-
-Result<InvocationOutcome> QueueSubsystem::Invoke(
-    ServiceId service, const ServiceRequest& request) {
-  ++invocations_;
-  auto it = bindings_.find(service);
-  if (it == bindings_.end()) {
-    return Status::NotFound(StrCat("unknown queue service ", service));
-  }
-  if (WouldBlock(service)) {
-    return Status::Unavailable(
-        StrCat("queue service ", service, " blocked by a prepared op"));
-  }
-  int64_t ret = 0;
-  TPM_RETURN_IF_ERROR(Apply(it->second, request, &ret, nullptr));
-  return InvocationOutcome{ret};
-}
-
-Result<PreparedHandle> QueueSubsystem::InvokePrepared(
-    ServiceId service, const ServiceRequest& request) {
-  ++invocations_;
-  auto it = bindings_.find(service);
-  if (it == bindings_.end()) {
-    return Status::NotFound(StrCat("unknown queue service ", service));
-  }
-  if (WouldBlock(service)) {
-    return Status::Unavailable(
-        StrCat("queue service ", service, " blocked by a prepared op"));
-  }
-  int64_t ret = 0;
-  std::function<void()> undo;
-  TPM_RETURN_IF_ERROR(Apply(it->second, request, &ret, &undo));
-  // Executed against live state (commuting ops cannot observe the
-  // difference; non-commuting ones are blocked above until resolution);
-  // abort reverses it via the captured undo.
-  TxId tx(next_tx_++);
-  prepared_[tx] = PreparedOp{service, std::move(undo)};
-  return PreparedHandle{tx, ret};
-}
-
-Status QueueSubsystem::CommitPrepared(TxId tx) {
-  auto it = prepared_.find(tx);
-  if (it == prepared_.end()) {
-    return Status::NotFound(StrCat("unknown prepared queue tx ", tx));
-  }
-  prepared_.erase(it);
-  return Status::OK();
-}
-
-Status QueueSubsystem::AbortPrepared(TxId tx) {
-  auto it = prepared_.find(tx);
-  if (it == prepared_.end()) {
-    return Status::NotFound(StrCat("unknown prepared queue tx ", tx));
-  }
-  it->second.undo();
-  prepared_.erase(it);
-  return Status::OK();
-}
-
-Status QueueSubsystem::AbortAllPrepared() {
-  // Presumed abort on recovery: undo in reverse prepare order (LIFO).
-  for (auto it = prepared_.rbegin(); it != prepared_.rend(); ++it) {
-    it->second.undo();
-  }
-  prepared_.clear();
-  return Status::OK();
 }
 
 void QueueSubsystem::OnProcessResolved(ProcessId process, bool /*committed*/) {
@@ -330,8 +237,7 @@ Status QueueSubsystem::CheckInvariants() const {
   return Status::OK();
 }
 
-uint64_t QueueSubsystem::StateFingerprint() const {
-  uint64_t h = kFnv1aOffsetBasis;
+uint64_t QueueSubsystem::FoldState(uint64_t h) const {
   for (const auto& [name, q] : queues_) {
     h = Fnv1a(h, name);
     for (int64_t token : q.tokens) {
@@ -349,8 +255,6 @@ uint64_t QueueSubsystem::StateFingerprint() const {
   fold_bookkeeping(enqueued_by_activity_);
   fold_bookkeeping(dequeued_by_activity_);
   h = Fnv1aInt(h, static_cast<uint64_t>(next_token_));
-  h = Fnv1aInt(h, static_cast<uint64_t>(next_tx_));
-  h = Fnv1aInt(h, static_cast<uint64_t>(invocations_));
   h = Fnv1aInt(h, static_cast<uint64_t>(empty_dequeues_));
   return h;
 }

@@ -11,8 +11,7 @@
 
 #include "common/ids.h"
 #include "common/status.h"
-#include "subsystem/kv_subsystem.h"
-#include "subsystem/service.h"
+#include "subsystem/adt_subsystem.h"
 
 namespace tpm {
 
@@ -45,20 +44,14 @@ namespace tpm {
 /// forward op) fails kAborted: silently succeeding would mask exactly the
 /// recovery bugs the chaos tests exist to catch.
 ///
+/// Invocation and the prepared state come from the AdtSubsystem core.
 /// Queue state survives a scheduler crash (subsystems are the durable
 /// periphery); prepared transactions are rolled back by AbortAllPrepared
 /// during recovery (presumed abort), and per-process token bookkeeping is
 /// dropped when the scheduler reports the process resolved.
-class QueueSubsystem : public Subsystem {
+class QueueSubsystem : public AdtSubsystem {
  public:
   QueueSubsystem(SubsystemId id, std::string name);
-
-  QueueSubsystem(const QueueSubsystem&) = delete;
-  QueueSubsystem& operator=(const QueueSubsystem&) = delete;
-
-  SubsystemId id() const override { return id_; }
-  const std::string& name() const override { return name_; }
-  const ServiceRegistry& services() const override { return registry_; }
 
   /// Creates a queue pre-seeded with `initial_tokens` fresh tokens (so
   /// consumer-heavy workloads don't dry-run the queue immediately).
@@ -74,16 +67,7 @@ class QueueSubsystem : public Subsystem {
   /// Effect-free length query (no op binding).
   Status RegisterLenService(ServiceId id, const std::string& queue);
 
-  Result<InvocationOutcome> Invoke(ServiceId service,
-                                   const ServiceRequest& request) override;
-  Result<PreparedHandle> InvokePrepared(ServiceId service,
-                                        const ServiceRequest& request) override;
-  Status CommitPrepared(TxId tx) override;
-  Status AbortPrepared(TxId tx) override;
-  bool WouldBlock(ServiceId service) const override;
-  Status AbortAllPrepared() override;
   void OnProcessResolved(ProcessId process, bool committed) override;
-  uint64_t StateFingerprint() const override;
 
   int64_t LengthOf(const std::string& queue) const;
   /// Queue contents front-to-back (state fingerprinting in crash tests).
@@ -94,46 +78,30 @@ class QueueSubsystem : public Subsystem {
   /// accounted for exactly once (token consistency).
   Status CheckInvariants() const;
 
-  int64_t invocations() const { return invocations_; }
   int64_t empty_dequeues() const { return empty_dequeues_; }
 
  private:
-  enum class OpType { kEnq, kDeq, kRm, kReq, kLen };
+  enum OpType { kEnq, kDeq, kRm, kReq, kLen };
 
   struct Queue {
     std::deque<int64_t> tokens;
   };
 
-  struct OpBinding {
-    OpType type;
-    std::string queue;
-  };
-
-  struct PreparedOp {
-    ServiceId service;
-    std::function<void()> undo;
-  };
-
-  Status RegisterOp(ServiceDef def, OpType type, const std::string& queue);
-  static bool OpsCommuteLocally(OpType a, OpType b);
-  Queue& EnsureQueue(const std::string& queue);
+  void AddObject(const std::string& queue) override;
   Status Apply(const OpBinding& op, const ServiceRequest& request,
-               int64_t* ret, std::function<void()>* undo);
+               int64_t* ret, std::function<void()>* undo) override;
+  /// enq/rm pairs commute; deq and req conflict with every update, and
+  /// length queries conservatively conflict with every update.
+  bool OpsCommuteLocally(int a, int b) const override;
+  uint64_t FoldState(uint64_t h) const override;
 
-  SubsystemId id_;
-  std::string name_;
-  ServiceRegistry registry_;
-  std::map<ServiceId, OpBinding> bindings_;
   std::map<std::string, Queue> queues_;
   /// Token a process's activity enqueued (for rm) or dequeued (for req),
   /// keyed by (process, activity) — the compensation reuses the forward
   /// activity's id.
   std::map<std::pair<int64_t, int64_t>, int64_t> enqueued_by_activity_;
   std::map<std::pair<int64_t, int64_t>, int64_t> dequeued_by_activity_;
-  std::map<TxId, PreparedOp> prepared_;
   int64_t next_token_ = 1;
-  int64_t next_tx_ = 1;
-  int64_t invocations_ = 0;
   int64_t empty_dequeues_ = 0;
 };
 

@@ -1,18 +1,15 @@
 #include "workload/semantic_world.h"
 
-#include "common/str_util.h"
-#include "core/flex_structure.h"
 #include "core/scheduler.h"
 
 namespace tpm {
 
 SemanticWorld::SemanticWorld(SemanticWorldOptions options)
-    : options_(options) {
-  kv_ = std::make_unique<KvSubsystem>(SubsystemId(1), "kv", options_.seed);
-  kv_->SetClock(&clock_);
-  escrow_ = std::make_unique<EscrowSubsystem>(SubsystemId(2), "escrow");
-  queue_ = std::make_unique<QueueSubsystem>(SubsystemId(3), "queue");
-  Subsystem* backends[kNumBackends] = {kv_.get(), escrow_.get(), queue_.get()};
+    : options_(options),
+      tenant_(&catalog_, SubsystemId(1), "", options_.seed,
+              options_.escrow_initial, options_.queue_initial_tokens) {
+  tenant_.kv()->SetClock(&clock_);
+  std::vector<Subsystem*> backends = tenant_.subsystems();
   for (int i = 0; i < kNumBackends; ++i) {
     faulty_.push_back(std::make_unique<testing::FaultySubsystem>(
         backends[i], &clock_, options_.profile, options_.seed * 1000 + i));
@@ -30,161 +27,8 @@ Status SemanticWorld::RegisterAll(TransactionalProcessScheduler* scheduler) {
   return Status::OK();
 }
 
-SemanticWorld::KvServices& SemanticWorld::EnsureKvKey(const std::string& key) {
-  auto it = kv_keys_.find(key);
-  if (it != kv_keys_.end()) return it->second;
-  KvServices ks{ServiceId(next_service_id_), ServiceId(next_service_id_ + 1)};
-  next_service_id_ += 2;
-  Status s =
-      kv_->RegisterService(MakeAddService(ks.add, StrCat("add/", key), key));
-  if (s.ok()) {
-    s = kv_->RegisterService(MakeSubService(ks.sub, StrCat("sub/", key), key));
-  }
-  return kv_keys_.emplace(key, ks).first->second;
-}
-
-SemanticWorld::EscrowServices& SemanticWorld::EnsureCounter(
-    const std::string& counter) {
-  auto it = counters_.find(counter);
-  if (it != counters_.end()) return it->second;
-  EscrowServices es{ServiceId(next_service_id_), ServiceId(next_service_id_ + 1),
-                    ServiceId(next_service_id_ + 2)};
-  next_service_id_ += 3;
-  Status s = escrow_->CreateCounter(counter, options_.escrow_initial);
-  if (s.ok()) s = escrow_->RegisterIncService(es.inc, counter);
-  if (s.ok()) s = escrow_->RegisterDecService(es.dec, counter);
-  if (s.ok()) s = escrow_->RegisterWithdrawService(es.withdraw, counter);
-  return counters_.emplace(counter, es).first->second;
-}
-
-SemanticWorld::QueueServices& SemanticWorld::EnsureQueue(
-    const std::string& queue) {
-  auto it = queues_.find(queue);
-  if (it != queues_.end()) return it->second;
-  QueueServices qs{ServiceId(next_service_id_), ServiceId(next_service_id_ + 1),
-                   ServiceId(next_service_id_ + 2),
-                   ServiceId(next_service_id_ + 3)};
-  next_service_id_ += 4;
-  Status s = queue_->CreateQueue(queue, options_.queue_initial_tokens);
-  if (s.ok()) s = queue_->RegisterEnqueueService(qs.enq, queue);
-  if (s.ok()) s = queue_->RegisterDequeueService(qs.deq, queue);
-  if (s.ok()) s = queue_->RegisterRemoveService(qs.rm, queue);
-  if (s.ok()) s = queue_->RegisterRequeueService(qs.req, queue);
-  return queues_.emplace(queue, qs).first->second;
-}
-
-ServiceId SemanticWorld::KvAdd(const std::string& key) {
-  return EnsureKvKey(key).add;
-}
-ServiceId SemanticWorld::KvSub(const std::string& key) {
-  return EnsureKvKey(key).sub;
-}
-ServiceId SemanticWorld::EscrowInc(const std::string& counter) {
-  return EnsureCounter(counter).inc;
-}
-ServiceId SemanticWorld::EscrowDec(const std::string& counter) {
-  return EnsureCounter(counter).dec;
-}
-ServiceId SemanticWorld::EscrowWithdraw(const std::string& counter) {
-  return EnsureCounter(counter).withdraw;
-}
-ServiceId SemanticWorld::Enqueue(const std::string& queue) {
-  return EnsureQueue(queue).enq;
-}
-ServiceId SemanticWorld::Dequeue(const std::string& queue) {
-  return EnsureQueue(queue).deq;
-}
-ServiceId SemanticWorld::Remove(const std::string& queue) {
-  return EnsureQueue(queue).rm;
-}
-ServiceId SemanticWorld::Requeue(const std::string& queue) {
-  return EnsureQueue(queue).req;
-}
-
-const ProcessDef* SemanticWorld::Finish(std::unique_ptr<ProcessDef> def) {
-  if (!def->Validate().ok()) return nullptr;
-  if (!ValidateWellFormedFlex(*def).ok()) return nullptr;
-  defs_.push_back(std::move(def));
-  return defs_.back().get();
-}
-
-const ProcessDef* SemanticWorld::MakeOrderProcess(const std::string& name,
-                                                  int variant) {
-  auto def = std::make_unique<ProcessDef>(name);
-  const std::string v = StrCat("v", variant);
-  ActivityId c1 = def->AddActivity("enq_order", ActivityKind::kCompensatable,
-                                   Enqueue("orders"), Remove("orders"));
-  ActivityId c2 = def->AddActivity("deposit", ActivityKind::kCompensatable,
-                                   EscrowInc("stock"), EscrowDec("stock"));
-  ActivityId p = def->AddActivity("audit", ActivityKind::kPivot,
-                                  KvAdd("audit_" + v));
-  ActivityId ra = def->AddActivity("book_revenue", ActivityKind::kRetriable,
-                                   EscrowInc("revenue"));
-  ActivityId rb = def->AddActivity("defer_booking", ActivityKind::kRetriable,
-                                   KvAdd("deferred_" + v));
-  if (!def->AddEdge(c1, c2).ok() || !def->AddEdge(c2, p).ok() ||
-      !def->AddEdge(p, ra, 0).ok() || !def->AddEdge(p, rb, 1).ok()) {
-    return nullptr;
-  }
-  return Finish(std::move(def));
-}
-
-const ProcessDef* SemanticWorld::MakeConsumeProcess(const std::string& name,
-                                                    int variant) {
-  auto def = std::make_unique<ProcessDef>(name);
-  const std::string v = StrCat("v", variant);
-  ActivityId c1 = def->AddActivity("deq_order", ActivityKind::kCompensatable,
-                                   Dequeue("orders"), Requeue("orders"));
-  // Def. 2 pairing beyond the op table's inverse: the withdraw is
-  // compensated by a deposit (give the stock back), which the escrow
-  // method makes infallible.
-  ActivityId c2 = def->AddActivity("take_stock", ActivityKind::kCompensatable,
-                                   EscrowWithdraw("stock"),
-                                   EscrowInc("stock"));
-  ActivityId p = def->AddActivity("fulfill", ActivityKind::kPivot,
-                                  KvAdd("fulfilled_" + v));
-  ActivityId ra = def->AddActivity("mark_shipped", ActivityKind::kRetriable,
-                                   EscrowInc("shipped"));
-  ActivityId rb = def->AddActivity("backlog", ActivityKind::kRetriable,
-                                   KvAdd("backlog_" + v));
-  if (!def->AddEdge(c1, c2).ok() || !def->AddEdge(c2, p).ok() ||
-      !def->AddEdge(p, ra, 0).ok() || !def->AddEdge(p, rb, 1).ok()) {
-    return nullptr;
-  }
-  return Finish(std::move(def));
-}
-
-const ProcessDef* SemanticWorld::MakeRefillProcess(const std::string& name,
-                                                   int variant) {
-  auto def = std::make_unique<ProcessDef>(name);
-  const std::string v = StrCat("v", variant);
-  ActivityId c1 = def->AddActivity("restock", ActivityKind::kCompensatable,
-                                   EscrowInc("stock"), EscrowDec("stock"));
-  ActivityId p = def->AddActivity("audit", ActivityKind::kPivot,
-                                  KvAdd("refill_audit_" + v));
-  ActivityId r = def->AddActivity("announce", ActivityKind::kRetriable,
-                                  Enqueue("orders"));
-  if (!def->AddEdge(c1, p).ok() || !def->AddEdge(p, r).ok()) return nullptr;
-  return Finish(std::move(def));
-}
-
-std::map<std::string, const ProcessDef*> SemanticWorld::DefsByName() const {
-  std::map<std::string, const ProcessDef*> result;
-  for (const auto& def : defs_) result[def->name()] = def.get();
-  return result;
-}
-
-Status SemanticWorld::CheckAdtInvariants() const {
-  TPM_RETURN_IF_ERROR(escrow_->CheckInvariants());
-  TPM_RETURN_IF_ERROR(queue_->CheckInvariants());
-  if (AnyNegativeKvValue()) {
-    return Status::Internal("negative KV value after recovery");
-  }
-  return Status::OK();
-}
-
 bool SemanticWorld::AnyNegativeKvValue() const {
-  for (const auto& [key, value] : kv_->store().Snapshot()) {
+  for (const auto& [key, value] : tenant_.kv()->store().Snapshot()) {
     if (value < 0) return true;
   }
   return false;

@@ -8,11 +8,9 @@
 
 #include "common/virtual_clock.h"
 #include "core/process.h"
-#include "subsystem/escrow_subsystem.h"
-#include "subsystem/kv_subsystem.h"
-#include "subsystem/queue_subsystem.h"
 #include "subsystem/subsystem_proxy.h"
 #include "testing/faulty_subsystem.h"
+#include "workload/mixed_adt_tenant.h"
 
 namespace tpm {
 
@@ -31,9 +29,9 @@ struct SemanticWorldOptions {
   int queue_initial_tokens = 8;
 };
 
-/// A mixed-ADT world: one KV subsystem, one escrow-counter subsystem and
-/// one token-queue subsystem, each wrapped in the standard failure-domain
-/// stack on one shared VirtualClock:
+/// A mixed-ADT world: one MixedAdtTenant (a KV, an escrow-counter and a
+/// token-queue subsystem), each subsystem wrapped in the standard
+/// failure-domain stack on one shared VirtualClock:
 ///
 ///   SubsystemProxy (deadline + circuit breaker)
 ///     -> FaultySubsystem (seeded transient aborts, latency, outages)
@@ -53,9 +51,9 @@ class SemanticWorld {
   ~SemanticWorld();
 
   VirtualClock* clock() { return &clock_; }
-  KvSubsystem* kv() { return kv_.get(); }
-  EscrowSubsystem* escrow() { return escrow_.get(); }
-  QueueSubsystem* queue() { return queue_.get(); }
+  KvSubsystem* kv() { return tenant_.kv(); }
+  EscrowSubsystem* escrow() { return tenant_.escrow(); }
+  QueueSubsystem* queue() { return tenant_.queue(); }
   testing::FaultySubsystem* faulty(int i) { return faulty_[i].get(); }
   SubsystemProxy* proxy(int i) { return proxy_[i].get(); }
 
@@ -67,73 +65,49 @@ class SemanticWorld {
   /// Lazily registered services. Escrow counters start at
   /// options.escrow_initial; queues are pre-seeded with
   /// options.queue_initial_tokens tokens.
-  ServiceId KvAdd(const std::string& key);
-  ServiceId KvSub(const std::string& key);
-  ServiceId EscrowInc(const std::string& counter);
-  ServiceId EscrowDec(const std::string& counter);
-  ServiceId EscrowWithdraw(const std::string& counter);
-  ServiceId Enqueue(const std::string& queue);
-  ServiceId Dequeue(const std::string& queue);
-  ServiceId Remove(const std::string& queue);
-  ServiceId Requeue(const std::string& queue);
+  ServiceId KvAdd(const std::string& key) { return tenant_.KvAdd(key); }
+  ServiceId KvSub(const std::string& key) { return tenant_.KvSub(key); }
+  ServiceId EscrowInc(const std::string& c) { return tenant_.EscrowInc(c); }
+  ServiceId EscrowDec(const std::string& c) { return tenant_.EscrowDec(c); }
+  ServiceId EscrowWithdraw(const std::string& c) {
+    return tenant_.EscrowWithdraw(c);
+  }
+  ServiceId Enqueue(const std::string& q) { return tenant_.Enqueue(q); }
+  ServiceId Dequeue(const std::string& q) { return tenant_.Dequeue(q); }
+  ServiceId Remove(const std::string& q) { return tenant_.Remove(q); }
+  ServiceId Requeue(const std::string& q) { return tenant_.Requeue(q); }
 
-  /// Producer: enqueue an order token, deposit into the shared stock
-  /// counter, pivot an audit write on a per-variant KV key, then prefer
-  /// booking revenue (escrow inc) with a KV deferred-booking
-  /// ◁-alternative. The escrow and queue touches land on *shared* hot
-  /// state, so with op commutativity off these processes serialize and
-  /// with it on they run in parallel.
-  const ProcessDef* MakeOrderProcess(const std::string& name, int variant = 0);
-
-  /// Consumer: dequeue an order (compensated by requeue-at-front),
-  /// withdraw stock under the escrow test (compensated by a deposit —
-  /// a Def. 2 pair that is *not* the op table's inverse), pivot a
-  /// fulfillment write, then prefer an escrow shipped-counter inc with a
-  /// KV backlog ◁-alternative.
+  /// The tenant's order, consume and refill shapes (MixedAdtTenant).
+  const ProcessDef* MakeOrderProcess(const std::string& name,
+                                     int variant = 0) {
+    return tenant_.MakeOrderProcess(name, variant);
+  }
   const ProcessDef* MakeConsumeProcess(const std::string& name,
-                                       int variant = 0);
-
-  /// Refiller: deposit stock, pivot an audit write, then retriably
-  /// enqueue a fresh order token.
+                                       int variant = 0) {
+    return tenant_.MakeConsumeProcess(name, variant);
+  }
   const ProcessDef* MakeRefillProcess(const std::string& name,
-                                      int variant = 0);
+                                      int variant = 0) {
+    return tenant_.MakeRefillProcess(name, variant);
+  }
 
-  std::map<std::string, const ProcessDef*> DefsByName() const;
+  std::map<std::string, const ProcessDef*> DefsByName() const {
+    return catalog_.DefsByName();
+  }
 
   /// The combined ADT invariants checked after every chaos/crash recovery:
   /// escrow safety envelope (non-negative stable balances) and queue token
   /// consistency, plus the KV negative-value probe.
-  Status CheckAdtInvariants() const;
+  Status CheckAdtInvariants() const { return tenant_.CheckAdtInvariants(); }
   bool AnyNegativeKvValue() const;
 
  private:
-  struct EscrowServices {
-    ServiceId inc, dec, withdraw;
-  };
-  struct QueueServices {
-    ServiceId enq, deq, rm, req;
-  };
-  struct KvServices {
-    ServiceId add, sub;
-  };
-
-  EscrowServices& EnsureCounter(const std::string& counter);
-  QueueServices& EnsureQueue(const std::string& queue);
-  KvServices& EnsureKvKey(const std::string& key);
-  const ProcessDef* Finish(std::unique_ptr<ProcessDef> def);
-
   SemanticWorldOptions options_;
   VirtualClock clock_;
-  std::unique_ptr<KvSubsystem> kv_;
-  std::unique_ptr<EscrowSubsystem> escrow_;
-  std::unique_ptr<QueueSubsystem> queue_;
+  ProcessCatalog catalog_;
+  MixedAdtTenant tenant_;
   std::vector<std::unique_ptr<testing::FaultySubsystem>> faulty_;
   std::vector<std::unique_ptr<SubsystemProxy>> proxy_;
-  std::map<std::string, EscrowServices> counters_;
-  std::map<std::string, QueueServices> queues_;
-  std::map<std::string, KvServices> kv_keys_;
-  std::vector<std::unique_ptr<ProcessDef>> defs_;
-  int64_t next_service_id_ = 1;
 };
 
 }  // namespace tpm

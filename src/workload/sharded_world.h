@@ -7,10 +7,7 @@
 #include <vector>
 
 #include "core/process.h"
-#include "runtime/conflict_partition.h"
-#include "subsystem/escrow_subsystem.h"
-#include "subsystem/kv_subsystem.h"
-#include "subsystem/queue_subsystem.h"
+#include "workload/mixed_adt_tenant.h"
 
 namespace tpm {
 
@@ -30,13 +27,14 @@ struct ShardedWorldOptions {
 };
 
 /// The multi-tenant workload behind the sharded runtime: `num_tenants`
-/// copies of the mixed-ADT economy (one KV, one escrow-counter and one
-/// token-queue subsystem per tenant — separate instances, since a
-/// subsystem registers with exactly one shard scheduler). Keys, counters
-/// and queues are namespaced per tenant, so inter-tenant conflicts are
-/// impossible and each tenant is its own connected component; a per-tenant
-/// colocation group additionally pins all three of a tenant's subsystems
-/// to one shard, so every tenant-local process footprint routes cleanly.
+/// MixedAdtTenants (one KV, one escrow-counter and one token-queue
+/// subsystem per tenant — separate instances, since a subsystem registers
+/// with exactly one shard scheduler) sharing one ProcessCatalog. Keys,
+/// counters and queues are namespaced per tenant, so inter-tenant
+/// conflicts are impossible and each tenant is its own connected
+/// component; a per-tenant colocation group additionally pins all three
+/// of a tenant's subsystems to one shard, so every tenant-local process
+/// footprint routes cleanly.
 ///
 /// The same world registers against a ShardedRuntime (RegisterAll) or a
 /// single solo scheduler (RegisterAllSolo) — the lockstep-equivalence test
@@ -47,9 +45,9 @@ class ShardedWorld {
   ~ShardedWorld();
 
   int num_tenants() const { return options_.num_tenants; }
-  KvSubsystem* kv(int tenant) { return tenants_[tenant].kv.get(); }
-  EscrowSubsystem* escrow(int tenant) { return tenants_[tenant].escrow.get(); }
-  QueueSubsystem* queue(int tenant) { return tenants_[tenant].queue.get(); }
+  KvSubsystem* kv(int tenant) { return tenants_[tenant]->kv(); }
+  EscrowSubsystem* escrow(int tenant) { return tenants_[tenant]->escrow(); }
+  QueueSubsystem* queue(int tenant) { return tenants_[tenant]->queue(); }
 
   /// Adds every tenant's subsystems plus the per-tenant colocation groups
   /// to the runtime. Call before runtime->Start().
@@ -60,31 +58,52 @@ class ShardedWorld {
   Status RegisterAllSolo(TransactionalProcessScheduler* scheduler);
 
   /// All services of one tenant (its colocation group).
-  std::vector<ServiceId> TenantServices(int tenant) const;
+  std::vector<ServiceId> TenantServices(int tenant) const {
+    return tenants_[tenant]->Services();
+  }
 
   /// Per-tenant lazily registered services; names are tenant-namespaced.
-  ServiceId KvAdd(int tenant, const std::string& key);
-  ServiceId KvSub(int tenant, const std::string& key);
-  ServiceId EscrowInc(int tenant, const std::string& counter);
-  ServiceId EscrowDec(int tenant, const std::string& counter);
-  ServiceId EscrowWithdraw(int tenant, const std::string& counter);
-  ServiceId Enqueue(int tenant, const std::string& queue);
-  ServiceId Dequeue(int tenant, const std::string& queue);
-  ServiceId Remove(int tenant, const std::string& queue);
-  ServiceId Requeue(int tenant, const std::string& queue);
+  ServiceId KvAdd(int t, const std::string& key) {
+    return tenants_[t]->KvAdd(key);
+  }
+  ServiceId KvSub(int t, const std::string& key) {
+    return tenants_[t]->KvSub(key);
+  }
+  ServiceId EscrowInc(int t, const std::string& counter) {
+    return tenants_[t]->EscrowInc(counter);
+  }
+  ServiceId EscrowDec(int t, const std::string& counter) {
+    return tenants_[t]->EscrowDec(counter);
+  }
+  ServiceId EscrowWithdraw(int t, const std::string& counter) {
+    return tenants_[t]->EscrowWithdraw(counter);
+  }
+  ServiceId Enqueue(int t, const std::string& queue) {
+    return tenants_[t]->Enqueue(queue);
+  }
+  ServiceId Dequeue(int t, const std::string& queue) {
+    return tenants_[t]->Dequeue(queue);
+  }
+  ServiceId Remove(int t, const std::string& queue) {
+    return tenants_[t]->Remove(queue);
+  }
+  ServiceId Requeue(int t, const std::string& queue) {
+    return tenants_[t]->Requeue(queue);
+  }
 
-  /// Tenant-local copies of the semantic-world process shapes: enqueue an
-  /// order + deposit stock (compensatable), pivot an audit write, then a
-  /// ◁-preferred revenue booking with a KV fallback.
-  const ProcessDef* MakeOrderProcess(int tenant, const std::string& name,
-                                     int variant = 0);
-  /// Dequeue + withdraw (Def. 2 compensations), pivot fulfillment, then a
-  /// ◁-preferred shipped-counter inc with a KV backlog fallback.
-  const ProcessDef* MakeConsumeProcess(int tenant, const std::string& name,
-                                       int variant = 0);
-  /// Deposit stock, pivot an audit write, retriably announce a token.
-  const ProcessDef* MakeRefillProcess(int tenant, const std::string& name,
-                                      int variant = 0);
+  /// Tenant-local order, consume and refill shapes (MixedAdtTenant).
+  const ProcessDef* MakeOrderProcess(int t, const std::string& name,
+                                     int variant = 0) {
+    return tenants_[t]->MakeOrderProcess(name, variant);
+  }
+  const ProcessDef* MakeConsumeProcess(int t, const std::string& name,
+                                       int variant = 0) {
+    return tenants_[t]->MakeConsumeProcess(name, variant);
+  }
+  const ProcessDef* MakeRefillProcess(int t, const std::string& name,
+                                      int variant = 0) {
+    return tenants_[t]->MakeRefillProcess(name, variant);
+  }
 
   /// A cross-shard process: enqueues into `tenant_a`'s order queue
   /// (compensatable), then pivots a deposit into `tenant_b`'s stock
@@ -109,40 +128,18 @@ class ShardedWorld {
                                            int tenant_a, int tenant_b,
                                            int tenant_c);
 
-  std::map<std::string, const ProcessDef*> DefsByName() const;
+  std::map<std::string, const ProcessDef*> DefsByName() const {
+    return catalog_.DefsByName();
+  }
 
   /// ADT invariants over every tenant: escrow safety envelope, queue token
   /// consistency, no negative KV value.
   Status CheckAdtInvariants() const;
 
  private:
-  struct EscrowServices {
-    ServiceId inc, dec, withdraw;
-  };
-  struct QueueServices {
-    ServiceId enq, deq, rm, req;
-  };
-  struct KvServices {
-    ServiceId add, sub;
-  };
-  struct Tenant {
-    std::unique_ptr<KvSubsystem> kv;
-    std::unique_ptr<EscrowSubsystem> escrow;
-    std::unique_ptr<QueueSubsystem> queue;
-    std::map<std::string, EscrowServices> counters;
-    std::map<std::string, QueueServices> queues;
-    std::map<std::string, KvServices> kv_keys;
-  };
-
-  EscrowServices& EnsureCounter(int tenant, const std::string& counter);
-  QueueServices& EnsureQueue(int tenant, const std::string& queue);
-  KvServices& EnsureKvKey(int tenant, const std::string& key);
-  const ProcessDef* Finish(std::unique_ptr<ProcessDef> def);
-
   ShardedWorldOptions options_;
-  std::vector<Tenant> tenants_;
-  std::vector<std::unique_ptr<ProcessDef>> defs_;
-  int64_t next_service_id_ = 1;
+  ProcessCatalog catalog_;
+  std::vector<std::unique_ptr<MixedAdtTenant>> tenants_;
 };
 
 }  // namespace tpm

@@ -6,12 +6,14 @@
 // SchedulerStats for every combination.
 //
 // Regenerating goldens (only when an INTENTIONAL behaviour change lands):
-//   g++ -DTPM_GOLDEN_GENERATE -std=c++20 -O2 -Isrc \
-//     tests/core/scheduler_refactor_equivalence_test.cc \
-//     build/src/libtpm_workload.a build/src/libtpm_core.a \
-//     build/src/libtpm_agent.a build/src/libtpm_subsystem.a \
-//     build/src/libtpm_log.a build/src/libtpm_common.a -o /tmp/golden_gen
-//   /tmp/golden_gen   # prints the kGolden table
+/*
+  g++ -DTPM_GOLDEN_GENERATE -std=c++20 -O2 -Isrc \
+    tests/core/scheduler_refactor_equivalence_test.cc \
+    build/src/libtpm_workload.a build/src/libtpm_core.a \
+    build/src/libtpm_agent.a build/src/libtpm_subsystem.a \
+    build/src/libtpm_log.a build/src/libtpm_common.a -o /tmp/golden_gen
+  /tmp/golden_gen   # prints the kGolden table
+*/
 
 #include <cstdint>
 #include <map>

@@ -74,7 +74,9 @@ RunDigest RunKvWorld(uint64_t seed) {
 
 // --- Semantic world: escrow + queue + KV under operation commutativity.
 
-RunDigest RunSemanticWorld(uint64_t seed) {
+// `kv_failure` > 0 makes every KV service abort with that probability,
+// drawn from the KV subsystem's seeded RNG, so the KV seed steers the run.
+RunDigest RunSemanticWorld(uint64_t seed, double kv_failure = 0.0) {
   SemanticWorldOptions world_options;
   world_options.seed = seed;
   world_options.escrow_initial = 20;
@@ -87,6 +89,11 @@ RunDigest RunSemanticWorld(uint64_t seed) {
     defs.push_back(world.MakeOrderProcess(StrCat("order", i), variant++));
     defs.push_back(world.MakeConsumeProcess(StrCat("consume", i), variant++));
     defs.push_back(world.MakeRefillProcess(StrCat("refill", i), variant++));
+  }
+  if (kv_failure > 0) {
+    for (ServiceId id : world.kv()->services().AllIds()) {
+      world.kv()->SetFailureProbability(id, kv_failure);
+    }
   }
 
   SchedulerOptions options;
@@ -139,7 +146,7 @@ RunDigest RunFaultDomainWorld(uint64_t seed) {
 // Folds every shard's history into one digest; lockstep execution is the
 // mode the runtime equivalence tests compare fingerprints under.
 
-RunDigest RunShardedWorld(uint64_t seed) {
+RunDigest RunShardedWorld(uint64_t seed, double kv_failure = 0.0) {
   constexpr int kTenants = 4;
   constexpr int kShards = 2;
   ShardedWorld world({.seed = seed, .num_tenants = kTenants});
@@ -153,6 +160,13 @@ RunDigest RunShardedWorld(uint64_t seed) {
           t, StrCat("consume_t", t, "_", round), round));
       defs.push_back(world.MakeRefillProcess(
           t, StrCat("refill_t", t, "_", round), round));
+    }
+  }
+  if (kv_failure > 0) {
+    for (int t = 0; t < kTenants; ++t) {
+      for (ServiceId id : world.kv(t)->services().AllIds()) {
+        world.kv(t)->SetFailureProbability(id, kv_failure);
+      }
     }
   }
 
@@ -222,6 +236,60 @@ TEST(DeterminismCanaryTest, ShardedWorldIsAPureFunctionOfItsSeed) {
         << "sharded world (lockstep multi-threaded runtime) is "
            "nondeterministic at seed "
         << seed;
+  }
+}
+
+// The canaries above compare a run with itself, so they cannot see a
+// refactor that changes what a world does. These goldens pin the two
+// mixed-ADT worlds across commits: service ids, subsystem ids, names and
+// the escrow/queue semantics all feed the history and the stats. With no
+// faults the seed does not reach these worlds, so the flaky runs add KV
+// failure injection, which draws from the KV seeds (`seed` in the semantic
+// world, `seed * 97 + t` per sharded tenant). Regenerate only for an
+// intended behaviour change.
+constexpr double kGoldenKvFailure = 0.2;
+
+struct WorldGolden {
+  uint64_t seed;
+  RunDigest semantic, semantic_flaky;
+  RunDigest sharded, sharded_flaky;
+};
+
+constexpr RunDigest kSemanticNoFault = {1440028708728308527ULL,
+                                        17874205481292922686ULL};
+constexpr RunDigest kShardedNoFault = {17410947672989633322ULL,
+                                       1901581064386568341ULL};
+constexpr WorldGolden kWorldGoldens[] = {
+    {3,
+     kSemanticNoFault,
+     {5341445545335282527ULL, 15048803828732253332ULL},
+     kShardedNoFault,
+     {16876721696500575606ULL, 14929124459144942555ULL}},
+    {11,
+     kSemanticNoFault,
+     {17510762461950927579ULL, 6387381972849924953ULL},
+     kShardedNoFault,
+     {11659729348641695908ULL, 11807030705151292114ULL}},
+    {1999,
+     kSemanticNoFault,
+     {3962080059982401192ULL, 15876786174037754810ULL},
+     kShardedNoFault,
+     {6510869758404111799ULL, 11382637258924114264ULL}},
+};
+
+TEST(DeterminismCanaryTest, SemanticWorldMatchesGoldens) {
+  for (const WorldGolden& g : kWorldGoldens) {
+    EXPECT_EQ(RunSemanticWorld(g.seed), g.semantic) << "seed " << g.seed;
+    EXPECT_EQ(RunSemanticWorld(g.seed, kGoldenKvFailure), g.semantic_flaky)
+        << "flaky KV, seed " << g.seed;
+  }
+}
+
+TEST(DeterminismCanaryTest, ShardedWorldMatchesGoldens) {
+  for (const WorldGolden& g : kWorldGoldens) {
+    EXPECT_EQ(RunShardedWorld(g.seed), g.sharded) << "seed " << g.seed;
+    EXPECT_EQ(RunShardedWorld(g.seed, kGoldenKvFailure), g.sharded_flaky)
+        << "flaky KV, seed " << g.seed;
   }
 }
 

@@ -470,7 +470,9 @@ TEST(ShardedRuntimeTest, FailedShardPassIsStickyAcrossTickAndDrain) {
     EXPECT_EQ(runtime.Drain(), first);  // every shard idle
     auto late_ticket = runtime.Submit(late);
     ASSERT_TRUE(late_ticket.ok());
-    if (lockstep) EXPECT_EQ(runtime.Tick(), first);
+    if (lockstep) {
+      EXPECT_EQ(runtime.Tick(), first);
+    }
     EXPECT_EQ(runtime.Drain(), first);
     EXPECT_EQ(runtime.QueueDepths()[bad], 1u);
     // The doomed process was admitted before its shard failed; the late
