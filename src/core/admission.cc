@@ -27,9 +27,9 @@ std::vector<ProcessId> ConflictingPredecessors(const SchedulerView& view,
                                                ServiceId service) {
   std::vector<ProcessId> preds;
   for (ServiceId partner : view.conflict_spec().PartnersOf(service)) {
-    view.ForEachEmitter(partner, [&](ProcessId p) {
+    for (ProcessId p : view.EmittersOf(partner)) {
       if (p != self) preds.push_back(p);
-    });
+    }
   }
   SortUnique(&preds);
   return preds;
@@ -58,9 +58,9 @@ std::vector<ProcessId> VirtualCompletionTargets(const SchedulerView& view,
   // so the partners' footprint rows hold every target.
   std::vector<ProcessId> targets;
   for (ServiceId partner : view.conflict_spec().PartnersOf(service)) {
-    view.ForEachActiveOnService(partner, [&](ProcessId p) {
+    for (ProcessId p : view.ActiveOnService(partner)) {
       if (p != self) targets.push_back(p);
-    });
+    }
   }
   SortUnique(&targets);
   std::erase_if(targets, [&](ProcessId p) {
@@ -81,7 +81,10 @@ bool EmittedConflictsWithRemainder(const SchedulerView& view,
                          IsCompensatableKind(decl.kind);
     if (!pending) continue;
     for (ServiceId partner : spec.PartnersOf(decl.service)) {
-      if (view.HasEmitted(emitter, partner)) return true;
+      std::span<const ProcessId> emitters = view.EmittersOf(partner);
+      if (std::binary_search(emitters.begin(), emitters.end(), emitter)) {
+        return true;
+      }
     }
   }
   return false;
@@ -241,6 +244,13 @@ class PredAdmissionGuard : public AdmissionGuard {
     const SchedulerOptions& options = view_.options();
     const SerializationGraph& graph = view_.serialization_graph();
     const ActivityDecl& decl = rt.def->activity(act);
+    // Lemma 1: a non-compensatable activity must not commit while one of
+    // its conflict-order predecessors is still active.
+    const bool lemma1 =
+        IsNonCompensatable(decl.kind) && options.ablation.lemma1_deferral;
+    auto lemma1_blocked = [&] {
+      return lemma1 && !ActiveBlockers(view_, rt, act).empty();
+    };
     std::vector<ProcessId> preds =
         ConflictingPredecessors(view_, rt.pid, decl.service);
     if (graph.WouldCycle(rt.pid, preds)) {
@@ -254,11 +264,13 @@ class PredAdmissionGuard : public AdmissionGuard {
       if (ActiveProcessReachableFrom(view_, rt.pid)) {
         return AdmissionDecision::kDefer;
       }
-      if (IsRetriableKind(decl.kind)) {
-        ++stats_->forced_executions;
-        return AdmissionDecision::kAdmit;
-      }
-      return AdmissionDecision::kFail;
+      if (!IsRetriableKind(decl.kind)) return AdmissionDecision::kFail;
+      ++stats_->forced_executions;
+      // Forced past the cycle, it still keeps Lemma 1's deferred commit
+      // under kPrepared2PC (never its deferred execution).
+      return options.defer_mode == DeferMode::kPrepared2PC && lemma1_blocked()
+                 ? AdmissionDecision::kPrepare
+                 : AdmissionDecision::kAdmit;
     }
     // Crossing prevention: executing after a conflicting activity of an
     // active P_i that will FORWARD-touch this service again (visible
@@ -279,16 +291,14 @@ class PredAdmissionGuard : public AdmissionGuard {
         }
       }
     }
-    if (IsNonCompensatable(decl.kind) && options.ablation.lemma1_deferral) {
-      std::vector<ProcessId> blockers = ActiveBlockers(view_, rt, act);
-      if (!blockers.empty()) {
-        if (options.defer_mode == DeferMode::kDelayExecution) {
-          return AdmissionDecision::kDefer;
-        }
-        // kPrepared2PC: admit into the prepared state; the commit stays
-        // invisible until release, so no pre-ordering hazard arises.
-        return AdmissionDecision::kAdmit;
-      }
+    if (lemma1_blocked()) {
+      // kPrepared2PC: execute into the prepared state; the commit stays
+      // invisible until release, so no pre-ordering hazard arises.
+      return options.defer_mode == DeferMode::kDelayExecution
+                 ? AdmissionDecision::kDefer
+                 : AdmissionDecision::kPrepare;
+    }
+    if (lemma1 && options.ablation.completion_preorder) {
       // No direct blockers: the activity would commit IMMEDIATELY.
       // §3.5: a committed non-compensatable activity conflicting with the
       // *potential completion* of an active process P_i pre-orders this
@@ -297,13 +307,11 @@ class PredAdmissionGuard : public AdmissionGuard {
       // already reaches us in the serialization graph, or if P_i's
       // emitted activities conflict with our own remainder (the reverse
       // edge is then inevitable): defer until P_i resolves.
-      if (options.ablation.completion_preorder) {
-        for (ProcessId v :
-             VirtualCompletionTargets(view_, rt.pid, decl.service)) {
-          if (graph.Reaches(v, rt.pid)) return AdmissionDecision::kDefer;
-          if (EmittedConflictsWithRemainder(view_, v, rt, act)) {
-            return AdmissionDecision::kDefer;
-          }
+      for (ProcessId v :
+           VirtualCompletionTargets(view_, rt.pid, decl.service)) {
+        if (graph.Reaches(v, rt.pid) ||
+            EmittedConflictsWithRemainder(view_, v, rt, act)) {
+          return AdmissionDecision::kDefer;
         }
       }
     }

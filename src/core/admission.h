@@ -1,9 +1,9 @@
 #ifndef TPM_CORE_ADMISSION_H_
 #define TPM_CORE_ADMISSION_H_
 
-#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/ids.h"
@@ -17,14 +17,16 @@ namespace tpm {
 
 /// Outcome of an admission check for executing an activity now.
 enum class AdmissionDecision {
-  kAdmit,  // execute (or prepare) the activity in this pass
-  kDefer,  // re-evaluate on a later pass
-  kFail,   // admitting would create an unresolvable conflict cycle
+  kAdmit,    // execute the activity in this pass
+  kPrepare,  // execute it into the prepared state (Lemma 1, kPrepared2PC)
+  kDefer,    // re-evaluate on a later pass
+  kFail,     // admitting would create an unresolvable conflict cycle
 };
 
 /// Read-only view of the scheduler state an admission policy may consult.
 /// Implemented by TransactionalProcessScheduler; guards must not retain
-/// ProcessView instances across calls (the underlying runtimes mutate).
+/// ProcessView instances or pid spans across calls (the underlying
+/// runtimes and rows mutate).
 class SchedulerView {
  public:
   struct ProcessView {
@@ -42,22 +44,17 @@ class SchedulerView {
   /// View of a known (active or terminated, not-yet-pruned) process.
   virtual std::optional<ProcessView> FindProcess(ProcessId pid) const = 0;
 
-  /// True iff `pid` emitted an instance of `service` (and its conflict
-  /// footprint has not been reclaimed yet).
-  virtual bool HasEmitted(ProcessId pid, ServiceId service) const = 0;
+  /// The processes that emitted an instance of `service` and whose
+  /// conflict footprint has not been reclaimed yet, ascending.
+  virtual std::span<const ProcessId> EmittersOf(ServiceId service) const = 0;
 
-  /// Invokes fn for every process that emitted an instance of `service`,
-  /// in ascending pid order.
-  virtual void ForEachEmitter(
-      ServiceId service, const std::function<void(ProcessId)>& fn) const = 0;
-
-  /// Invokes fn for every ACTIVE process whose definition declares an
-  /// activity on `service` (its service footprint), in ascending pid
-  /// order. Compensations count as `service` (perfect commutativity), so
-  /// every process whose remainder could conflict with a service lies in
-  /// the footprint rows of that service's conflict partners.
-  virtual void ForEachActiveOnService(
-      ServiceId service, const std::function<void(ProcessId)>& fn) const = 0;
+  /// The ACTIVE processes whose definition declares an activity on
+  /// `service` (its service footprint), ascending. Compensations count as
+  /// `service` (perfect commutativity), so every process whose remainder
+  /// could conflict with a service lies in the footprint rows of that
+  /// service's conflict partners.
+  virtual std::span<const ProcessId> ActiveOnService(
+      ServiceId service) const = 0;
 };
 
 // ---------------------------------------------------------------------------

@@ -31,43 +31,42 @@ std::string Completion::ToString() const {
   return oss.str();
 }
 
+std::vector<ActivityId> CompensatedOnAbort(const ProcessExecutionState& state) {
+  const ProcessDef& def = state.def();
+  std::vector<ActivityId> effective = state.EffectiveCommitted();
+  // Everything after the last non-compensatable is compensatable (every
+  // kind is one or the other).
+  auto last_pinned =
+      std::find_if(effective.rbegin(), effective.rend(), [&](ActivityId a) {
+        return IsNonCompensatable(def.KindOf(a));
+      });
+  effective.erase(effective.begin(), last_pinned.base());
+  return effective;
+}
+
 Result<Completion> ComputeCompletion(const ProcessExecutionState& state) {
   const ProcessDef& def = state.def();
   Completion completion;
-  std::vector<ActivityId> effective = state.EffectiveCommitted();
   completion.state = state.recovery_state();
 
+  // Backward recovery: compensate, in reverse commit order (Lemma 2
+  // ordering), everything an abort undoes — every effective activity in
+  // B-REC, the compensatables committed after the local state-determining
+  // element s_{i_k} in F-REC.
+  const std::vector<ActivityId> undone = CompensatedOnAbort(state);
+  for (auto it = undone.rbegin(); it != undone.rend(); ++it) {
+    completion.steps.push_back({*it, /*inverse=*/true});
+  }
   if (completion.state == RecoveryState::kBackwardRecoverable) {
-    // Backward recovery path: compensate everything in reverse commit order.
-    for (auto it = effective.rbegin(); it != effective.rend(); ++it) {
-      completion.steps.push_back({*it, /*inverse=*/true});
-    }
     return completion;
   }
 
-  // F-REC. Find d: the last effective-committed non-compensatable activity
-  // (the local state-determining element s_{i_k} the process rolls back to).
-  size_t d_pos = 0;
-  for (size_t i = 0; i < effective.size(); ++i) {
-    if (IsNonCompensatable(def.KindOf(effective[i]))) d_pos = i;
-  }
-
-  // Local backward recovery: compensate compensatable activities committed
-  // after d, in reverse commit order (Lemma 2 ordering).
-  std::set<ActivityId> being_compensated;
-  for (size_t i = effective.size(); i-- > d_pos + 1;) {
-    ActivityId a = effective[i];
-    if (IsCompensatableKind(def.KindOf(a))) {
-      completion.steps.push_back({a, /*inverse=*/true});
-      being_compensated.insert(a);
-    }
-  }
-
-  // Activities whose effects are kept: they pin the branch choices.
-  std::set<ActivityId> kept;
-  for (ActivityId a : effective) {
-    if (being_compensated.count(a) == 0) kept.insert(a);
-  }
+  // Activities whose effects are kept (the effective prefix up to s_{i_k},
+  // since `undone` is its suffix): they pin the branch choices.
+  const std::vector<ActivityId> effective = state.EffectiveCommitted();
+  const std::set<ActivityId> kept(
+      effective.begin(),
+      effective.end() - static_cast<std::ptrdiff_t>(undone.size()));
 
   // Forward recovery path: walk forward from the kept activities. At each
   // committed activity with alternatives, stay on the branch that contains

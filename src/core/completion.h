@@ -42,6 +42,13 @@ struct Completion {
   std::string ToString() const;
 };
 
+/// The effective committed activities an abort of the process compensates,
+/// in commit order: every compensatable committed after the last
+/// effective non-compensatable (all of them in B-REC). Those before it are
+/// quasi-committed (F-REC, Example 10) and stay. Compensatable-retriable
+/// activities count as compensatable (footnote 2).
+std::vector<ActivityId> CompensatedOnAbort(const ProcessExecutionState& state);
+
 /// Computes C(P) for the given execution state (Def. of completion, §3.1):
 ///
 /// * B-REC: compensate every effective-committed activity in reverse commit

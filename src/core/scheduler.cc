@@ -1,6 +1,7 @@
 #include "core/scheduler.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/str_util.h"
 #include "core/flex_structure.h"
@@ -13,6 +14,32 @@ namespace {
 /// step (Def. 3 promises finitely many); exceeding it is reported as a
 /// subsystem that violates Def. 3.
 constexpr int kMaxRetries = 1000;
+
+/// Inserts `pid` into the ascending `row` unless present. Pids mostly
+/// arrive ascending, so the common case is an append.
+void InsertSorted(std::vector<ProcessId>& row, ProcessId pid) {
+  if (row.empty() || row.back() < pid) {
+    row.push_back(pid);
+    return;
+  }
+  auto it = std::lower_bound(row.begin(), row.end(), pid);
+  if (it == row.end() || *it != pid) row.insert(it, pid);
+}
+
+void EraseSorted(std::vector<ProcessId>& row, ProcessId pid) {
+  auto it = std::lower_bound(row.begin(), row.end(), pid);
+  if (it != row.end() && *it == pid) row.erase(it);
+}
+
+/// The row of `service` in a dense per-service table, or null when the
+/// service has none.
+template <typename Rows>
+auto RowOf(Rows& rows, const ConflictSpec& spec, ServiceId service)
+    -> decltype(&rows[0]) {
+  const int index = spec.IndexOf(service);
+  if (index < 0 || static_cast<size_t>(index) >= rows.size()) return nullptr;
+  return &rows[static_cast<size_t>(index)];
+}
 }  // namespace
 
 TransactionalProcessScheduler::TransactionalProcessScheduler(
@@ -64,13 +91,6 @@ Result<Subsystem*> TransactionalProcessScheduler::RouteService(
 // ---------------------------------------------------------------------------
 // Dense runtime table / emitter index / SchedulerView.
 
-TransactionalProcessScheduler::ProcessRuntime*
-TransactionalProcessScheduler::FindRuntime(ProcessId pid) {
-  if (pid.value() < 1) return nullptr;
-  size_t slot = static_cast<size_t>(pid.value()) - 1;
-  return slot < runtimes_.size() ? runtimes_[slot].get() : nullptr;
-}
-
 const TransactionalProcessScheduler::ProcessRuntime*
 TransactionalProcessScheduler::FindRuntime(ProcessId pid) const {
   if (pid.value() < 1) return nullptr;
@@ -83,21 +103,13 @@ void TransactionalProcessScheduler::EmplaceRuntime(
   size_t slot = static_cast<size_t>(pid.value()) - 1;
   if (slot >= runtimes_.size()) runtimes_.resize(slot + 1);
   runtimes_[slot] = std::move(rt);
-  // Pids are handed out ascending, so the index append is O(1); the
-  // sorted-insert fallback covers out-of-order replay.
-  if (active_pids_.empty() || active_pids_.back() < pid) {
-    active_pids_.push_back(pid);
-  } else {
-    auto it = std::lower_bound(active_pids_.begin(), active_pids_.end(), pid);
-    if (it == active_pids_.end() || *it != pid) active_pids_.insert(it, pid);
-  }
+  InsertSorted(active_pids_, pid);
   AddFootprint(*runtimes_[slot]);
 }
 
 void TransactionalProcessScheduler::DeactivatePid(const ProcessRuntime& rt) {
-  auto it = std::lower_bound(active_pids_.begin(), active_pids_.end(), rt.pid);
-  if (it != active_pids_.end() && *it == rt.pid) active_pids_.erase(it);
-  RemoveFootprint(rt);
+  EraseSorted(active_pids_, rt.pid);
+  DropFromRows(service_footprint_, rt);
 }
 
 void TransactionalProcessScheduler::MarkPruned(ProcessId pid) {
@@ -159,55 +171,26 @@ void TransactionalProcessScheduler::EnsureServiceRows() {
   }
 }
 
-void TransactionalProcessScheduler::AddEmitter(ServiceId service,
-                                               ProcessId pid) {
-  int index = spec_.RegisterService(service);
+void TransactionalProcessScheduler::AddToRow(ServiceRows& rows,
+                                             ServiceId service,
+                                             ProcessId pid) {
+  const int index = spec_.RegisterService(service);
   EnsureServiceRows();
-  std::vector<ProcessId>& row = service_emitters_[index];
-  auto it = std::lower_bound(row.begin(), row.end(), pid);
-  if (it == row.end() || *it != pid) row.insert(it, pid);
+  InsertSorted(rows[static_cast<size_t>(index)], pid);
 }
 
-void TransactionalProcessScheduler::RemoveEmitter(const ProcessRuntime& rt) {
-  // EmitActivity records only the services of rt's own activities, so
-  // those rows are the only ones that can name it: O(activities), not
-  // O(registered services).
+void TransactionalProcessScheduler::DropFromRows(ServiceRows& rows,
+                                                 const ProcessRuntime& rt) {
   for (const ActivityDecl& decl : rt.def->activities()) {
-    const int index = spec_.IndexOf(decl.service);
-    if (index < 0 || static_cast<size_t>(index) >= service_emitters_.size()) {
-      continue;
+    if (std::vector<ProcessId>* row = RowOf(rows, spec_, decl.service)) {
+      EraseSorted(*row, rt.pid);
     }
-    std::vector<ProcessId>& row = service_emitters_[index];
-    auto it = std::lower_bound(row.begin(), row.end(), rt.pid);
-    if (it != row.end() && *it == rt.pid) row.erase(it);
   }
 }
 
 void TransactionalProcessScheduler::AddFootprint(const ProcessRuntime& rt) {
   for (const ActivityDecl& decl : rt.def->activities()) {
-    const int index = spec_.RegisterService(decl.service);
-    EnsureServiceRows();
-    std::vector<ProcessId>& row = service_footprint_[index];
-    // Pids activate ascending, so this is an append; a definition with
-    // several activities on one service finds itself already at the back.
-    if (row.empty() || row.back() < rt.pid) {
-      row.push_back(rt.pid);
-    } else {
-      auto it = std::lower_bound(row.begin(), row.end(), rt.pid);
-      if (it == row.end() || *it != rt.pid) row.insert(it, rt.pid);
-    }
-  }
-}
-
-void TransactionalProcessScheduler::RemoveFootprint(const ProcessRuntime& rt) {
-  for (const ActivityDecl& decl : rt.def->activities()) {
-    const int index = spec_.IndexOf(decl.service);
-    if (index < 0 || static_cast<size_t>(index) >= service_footprint_.size()) {
-      continue;
-    }
-    std::vector<ProcessId>& row = service_footprint_[index];
-    auto it = std::lower_bound(row.begin(), row.end(), rt.pid);
-    if (it != row.end() && *it == rt.pid) row.erase(it);
+    AddToRow(service_footprint_, decl.service, rt.pid);
   }
 }
 
@@ -218,32 +201,17 @@ TransactionalProcessScheduler::FindProcess(ProcessId pid) const {
   return ViewOf(*rt);
 }
 
-bool TransactionalProcessScheduler::HasEmitted(ProcessId pid,
-                                               ServiceId service) const {
-  int index = spec_.IndexOf(service);
-  if (index < 0 || static_cast<size_t>(index) >= service_emitters_.size()) {
-    return false;
-  }
-  const std::vector<ProcessId>& row = service_emitters_[index];
-  return std::binary_search(row.begin(), row.end(), pid);
+std::span<const ProcessId> TransactionalProcessScheduler::EmittersOf(
+    ServiceId service) const {
+  const std::vector<ProcessId>* row = RowOf(service_emitters_, spec_, service);
+  return row == nullptr ? std::span<const ProcessId>() : *row;
 }
 
-void TransactionalProcessScheduler::ForEachEmitter(
-    ServiceId service, const std::function<void(ProcessId)>& fn) const {
-  int index = spec_.IndexOf(service);
-  if (index < 0 || static_cast<size_t>(index) >= service_emitters_.size()) {
-    return;
-  }
-  for (ProcessId pid : service_emitters_[index]) fn(pid);
-}
-
-void TransactionalProcessScheduler::ForEachActiveOnService(
-    ServiceId service, const std::function<void(ProcessId)>& fn) const {
-  int index = spec_.IndexOf(service);
-  if (index < 0 || static_cast<size_t>(index) >= service_footprint_.size()) {
-    return;
-  }
-  for (ProcessId pid : service_footprint_[index]) fn(pid);
+std::span<const ProcessId> TransactionalProcessScheduler::ActiveOnService(
+    ServiceId service) const {
+  const std::vector<ProcessId>* row =
+      RowOf(service_footprint_, spec_, service);
+  return row == nullptr ? std::span<const ProcessId>() : *row;
 }
 
 // ---------------------------------------------------------------------------
@@ -374,19 +342,6 @@ bool TransactionalProcessScheduler::InAnyEmitterRow(ProcessId pid) const {
   return false;
 }
 
-int64_t TransactionalProcessScheduler::held_undecided_count() const {
-  CheckThread("held_undecided_count");
-  int64_t count = 0;
-  for (ProcessId pid : active_pids_) {
-    const ProcessRuntime* rt = FindRuntime(pid);
-    if (rt != nullptr && rt->state.IsActive() &&
-        (rt->hold_commit || rt->decided_commit)) {
-      ++count;
-    }
-  }
-  return count;
-}
-
 ProcessOutcome TransactionalProcessScheduler::OutcomeOf(ProcessId pid) const {
   CheckThread("OutcomeOf");
   const ProcessRuntime* rt = FindRuntime(pid);
@@ -434,7 +389,7 @@ void TransactionalProcessScheduler::PruneSerializationGraph(
     std::vector<ProcessId> exposed;
     sg_.ForEachSuccessor(pid, [&](ProcessId succ) { exposed.push_back(succ); });
     sg_.RemoveNode(pid);
-    RemoveEmitter(*rt);
+    DropFromRows(service_emitters_, *rt);
     MarkPruned(pid);
     for (ProcessId succ : exposed) worklist.push_back(succ);
   }
@@ -482,23 +437,39 @@ Status TransactionalProcessScheduler::EmitActivity(ProcessRuntime& rt,
     rt.active_group[act] = 0;
     RecomputeReadyFrom(rt, act);
   }
-  AddEmitter(emitted_decl.service, rt.pid);
+  AddToRow(service_emitters_, emitted_decl.service, rt.pid);
   if (!rt.started) rt.started_at = clock_->now();
   rt.started = true;
   for (SchedulerObserver* observer : observers_) {
     observer->OnActivityCommitted(rt.pid, act, inverse);
   }
-  {
-    auto duration = options_.service_durations.find(
-        inverse ? emitted_decl.compensation_service : emitted_decl.service);
-    if (duration != options_.service_durations.end()) {
-      rt.busy_until = clock_->now() + duration->second;
-    }
-  }
+  OccupyFor(rt, inverse ? emitted_decl.compensation_service
+                        : emitted_decl.service);
   if (options_.certify_prefixes) {
     TPM_RETURN_IF_ERROR(CertifyHistory());
   }
   return Status::OK();
+}
+
+void TransactionalProcessScheduler::OccupyFor(ProcessRuntime& rt,
+                                              ServiceId service) {
+  auto duration = options_.service_durations.find(service);
+  if (duration != options_.service_durations.end()) {
+    rt.busy_until = clock_->now() + duration->second;
+  }
+}
+
+size_t TransactionalProcessScheduler::LatestOriginalPosition(
+    ProcessId pid, ActivityId act) const {
+  const auto& events = history_.events();
+  for (size_t i = events.size(); i-- > 0;) {
+    const ScheduleEvent& e = events[i];
+    if (e.type == EventType::kActivity && !e.aborted_invocation &&
+        !e.act.inverse && e.act.process == pid && e.act.activity == act) {
+      return i;
+    }
+  }
+  return 0;
 }
 
 Status TransactionalProcessScheduler::LogCompensationIntent(
@@ -524,19 +495,9 @@ Result<bool> TransactionalProcessScheduler::GateCompensation(
   // anomaly: possible only under kUnsafe, counted and skipped over.
   ServiceId service = rt.def->activity(compensated).service;
   const auto& events = history_.events();
-  // Position of the most recent original commit of `compensated`.
-  size_t original_pos = 0;
-  for (size_t i = events.size(); i-- > 0;) {
-    const ScheduleEvent& e = events[i];
-    if (e.type == EventType::kActivity && !e.aborted_invocation &&
-        !e.act.inverse && e.act.process == rt.pid &&
-        e.act.activity == compensated) {
-      original_pos = i;
-      break;
-    }
-  }
   bool wait = false;
-  for (size_t i = original_pos + 1; i < events.size(); ++i) {
+  for (size_t i = LatestOriginalPosition(rt.pid, compensated) + 1;
+       i < events.size(); ++i) {
     const ScheduleEvent& e = events[i];
     if (e.type != EventType::kActivity || e.aborted_invocation ||
         e.act.inverse) {
@@ -564,29 +525,12 @@ Result<bool> TransactionalProcessScheduler::GateCompensation(
       }
       continue;
     }
-    // Will the dependent's abort actually undo the activity? Yes for any
-    // compensatable in B-REC, and in F-REC for compensatables past the
-    // last state-determining element; no for non-compensatables and for
-    // quasi-committed effects (F-REC, pre-pivot — Example 10).
-    bool will_undo = false;
-    if (IsCompensatableKind(other.def->KindOf(e.act.activity))) {
-      if (other.state.recovery_state() ==
-          RecoveryState::kBackwardRecoverable) {
-        will_undo = true;
-      } else {
-        const std::vector<ActivityId> effective =
-            other.state.EffectiveCommitted();
-        size_t last_noncomp = 0;
-        size_t e_pos = SIZE_MAX;
-        for (size_t k = 0; k < effective.size(); ++k) {
-          if (IsNonCompensatable(other.def->KindOf(effective[k]))) {
-            last_noncomp = k;
-          }
-          if (effective[k] == e.act.activity) e_pos = k;
-        }
-        will_undo = e_pos != SIZE_MAX && e_pos > last_noncomp;
-      }
-    }
+    // Will the dependent's abort actually undo the activity? Not for
+    // non-compensatables nor for quasi-committed effects (Example 10).
+    const std::vector<ActivityId> undone = CompensatedOnAbort(other.state);
+    const bool will_undo =
+        std::find(undone.begin(), undone.end(), e.act.activity) !=
+        undone.end();
     if (other.commit_held || other.decided_commit) {
       // A 2PC participant that voted "prepared" (or already received a
       // commit decision) cannot be unilaterally cascade-aborted — only its
@@ -635,7 +579,8 @@ void TransactionalProcessScheduler::RecomputeReadyFrom(ProcessRuntime& rt,
 }
 
 Result<bool> TransactionalProcessScheduler::ExecuteActivity(ProcessRuntime& rt,
-                                                            ActivityId act) {
+                                                            ActivityId act,
+                                                            bool prepare) {
   const ActivityDecl& decl = rt.def->activity(act);
   TPM_ASSIGN_OR_RETURN(Subsystem * subsystem, RouteService(decl.service));
   // Failure-domain gate: never invoke against an open breaker — degrade to
@@ -647,6 +592,10 @@ Result<bool> TransactionalProcessScheduler::ExecuteActivity(ProcessRuntime& rt,
     ++stats_.resumed_activities;
   }
   ServiceRequest request{rt.pid, act, rt.param};
+  auto failed = [&](const Status& failure) {
+    return InvocationFailed(failure,
+                            [&] { return HandleInvocationAbort(rt, act); });
+  };
 
   // A held sub-process of a spanning process force-prepares EVERY
   // non-compensatable activity, blockers or not: until the cross-shard
@@ -654,30 +603,13 @@ Result<bool> TransactionalProcessScheduler::ExecuteActivity(ProcessRuntime& rt,
   // abortable, and a locally committed pivot would make it not so.
   // Compensatables commit immediately — they stay undoable via their
   // inverses, exactly the property the local Lemma 1 deferral relies on.
-  const bool defer_commit =
-      (rt.hold_commit && IsNonCompensatable(decl.kind)) ||
-      (options_.protocol == AdmissionProtocol::kPred &&
-       options_.defer_mode == DeferMode::kPrepared2PC &&
-       options_.ablation.lemma1_deferral &&
-       IsNonCompensatable(decl.kind) &&
-       !ActiveBlockers(*this, ViewOf(rt), act).empty());
-
+  prepare = prepare || (rt.hold_commit && IsNonCompensatable(decl.kind));
   guard_->OnExecute(rt.pid, decl.service);
 
-  if (defer_commit) {
+  if (prepare) {
     Result<PreparedHandle> prepared =
         subsystem->InvokePrepared(decl.service, request);
-    if (!prepared.ok()) {
-      if (prepared.status().IsUnavailable()) {
-        ++stats_.blocked_by_locks;
-        return false;
-      }
-      if (prepared.status().IsAborted()) {
-        TPM_RETURN_IF_ERROR(HandleInvocationAbort(rt, act));
-        return true;
-      }
-      return prepared.status();
-    }
+    if (!prepared.ok()) return failed(prepared.status());
     rt.ready.erase(act);
     // The activity happened physically; record its serialization edges now
     // even though it only becomes visible in the history at release time.
@@ -686,40 +618,46 @@ Result<bool> TransactionalProcessScheduler::ExecuteActivity(ProcessRuntime& rt,
     rt.prepared.push_back(PreparedBranch{act, subsystem, prepared->tx,
                                          prepared->return_value});
     rt.started = true;
-    auto duration = options_.service_durations.find(decl.service);
-    if (duration != options_.service_durations.end()) {
-      rt.busy_until = clock_->now() + duration->second;
-    }
+    OccupyFor(rt, decl.service);
     ++stats_.prepared_branches;
     return true;
   }
 
   Result<InvocationOutcome> outcome = subsystem->Invoke(decl.service, request);
-  if (!outcome.ok()) {
-    if (outcome.status().IsUnavailable()) {
-      ++stats_.blocked_by_locks;
-      return false;
-    }
-    if (outcome.status().IsAborted()) {
-      TPM_RETURN_IF_ERROR(HandleInvocationAbort(rt, act));
-      return true;
-    }
-    return outcome.status();
-  }
+  if (!outcome.ok()) return failed(outcome.status());
   rt.ready.erase(act);
   TPM_RETURN_IF_ERROR(EmitActivity(rt, act, /*inverse=*/false));
   return true;
 }
 
+template <typename OnAbort>
+Result<bool> TransactionalProcessScheduler::InvocationFailed(
+    const Status& failure, OnAbort&& on_abort) {
+  if (failure.IsUnavailable()) {
+    ++stats_.blocked_by_locks;
+    return false;
+  }
+  if (failure.IsAborted()) {
+    TPM_RETURN_IF_ERROR(on_abort());
+    return true;
+  }
+  return failure;
+}
+
+Status TransactionalProcessScheduler::RecordFailedInvocation(ProcessId pid,
+                                                             ActivityId act) {
+  ++stats_.failed_invocations;
+  return history_.Append(ScheduleEvent::Activity(
+      ActivityInstance{pid, act, false}, /*aborted_invocation=*/true));
+}
+
 Status TransactionalProcessScheduler::HandleInvocationAbort(ProcessRuntime& rt,
                                                             ActivityId act) {
   // The local transaction aborted: record the effect-free invocation.
-  ++stats_.failed_invocations;
   for (SchedulerObserver* observer : observers_) {
     observer->OnInvocationFailed(rt.pid, act);
   }
-  TPM_RETURN_IF_ERROR(history_.Append(ScheduleEvent::Activity(
-      ActivityInstance{rt.pid, act, false}, /*aborted_invocation=*/true)));
+  TPM_RETURN_IF_ERROR(RecordFailedInvocation(rt.pid, act));
   const ActivityDecl& decl = rt.def->activity(act);
   if (IsRetriableKind(decl.kind)) {
     // Def. 3: guaranteed to commit after finitely many invocations; keep it
@@ -845,9 +783,7 @@ Result<bool> TransactionalProcessScheduler::ParkOrDegrade(
     // (alternative search, else abort) so termination stays guaranteed
     // even when the outage is never repaired.
     rt.parked.erase(parked_it);
-    ++stats_.failed_invocations;
-    TPM_RETURN_IF_ERROR(history_.Append(ScheduleEvent::Activity(
-        ActivityInstance{rt.pid, act, false}, /*aborted_invocation=*/true)));
+    TPM_RETURN_IF_ERROR(RecordFailedInvocation(rt.pid, act));
     TPM_RETURN_IF_ERROR(HandleActivityFailure(rt, act));
     return true;
   }
@@ -892,15 +828,8 @@ Status TransactionalProcessScheduler::StartAbort(ProcessRuntime& rt) {
     // process cannot abort past it. Try to resolve first — if some
     // participant is still unreachable the abort is postponed (the caller's
     // gate re-evaluates every pass) rather than contradicting the decision.
-    Status resolved = coordinator_.RecoverInDoubt();
-    if (resolved.IsUnavailable()) return Status::OK();
-    TPM_RETURN_IF_ERROR(resolved);
-    rt.release_in_doubt = false;
-    std::vector<PreparedBranch> released = std::move(rt.prepared);
-    rt.prepared.clear();
-    for (const PreparedBranch& b : released) {
-      TPM_RETURN_IF_ERROR(EmitActivity(rt, b.activity, /*inverse=*/false));
-    }
+    TPM_ASSIGN_OR_RETURN(bool resolved, ResolveInDoubt(rt));
+    if (!resolved) return Status::OK();
   }
   ++aborts_started_;  // state change: counts as progress for Step()
   for (SchedulerObserver* observer : observers_) {
@@ -908,11 +837,7 @@ Status TransactionalProcessScheduler::StartAbort(ProcessRuntime& rt) {
   }
   // Prepared-but-unreleased branches never became visible; roll them back.
   if (!rt.prepared.empty()) {
-    std::vector<CommitBranch> branches;
-    for (const PreparedBranch& b : rt.prepared) {
-      branches.push_back(CommitBranch{b.subsystem, b.tx});
-    }
-    TPM_RETURN_IF_ERROR(coordinator_.AbortAll(branches));
+    TPM_RETURN_IF_ERROR(coordinator_.AbortAll(CommitBranchesOf(rt)));
     rt.prepared.clear();
   }
   TPM_ASSIGN_OR_RETURN(Completion completion, ComputeCompletion(rt.state));
@@ -931,20 +856,7 @@ Result<bool> TransactionalProcessScheduler::ExecuteCompletionStep(
     rt.on_drain = DrainAction::kNone;
     if (action == DrainAction::kActivateGroup) {
       rt.active_group[rt.drain_branch_point] = rt.drain_group;
-      for (ActivityId s : rt.def->SuccessorsInGroup(rt.drain_branch_point,
-                                                    rt.drain_group)) {
-        bool all_ready = true;
-        for (ActivityId p : rt.def->Predecessors(s)) {
-          auto pref = rt.def->EdgePreference(p, s);
-          int active = rt.active_group.count(p) > 0 ? rt.active_group[p] : 0;
-          if (*pref != active) continue;
-          if (!rt.state.IsCommitted(p)) {
-            all_ready = false;
-            break;
-          }
-        }
-        if (all_ready) rt.ready.insert(s);
-      }
+      RecomputeReadyFrom(rt, rt.drain_branch_point);
     } else if (action == DrainAction::kAbortProcess) {
       TPM_RETURN_IF_ERROR(FinishProcess(rt, /*committed=*/false));
     }
@@ -980,18 +892,12 @@ Result<bool> TransactionalProcessScheduler::ExecuteCompletionStep(
     // mutual waits are broken by deadlock resolution.
     if (options_.protocol == AdmissionProtocol::kPred &&
         options_.ablation.completion_preorder) {
-      std::vector<ProcessId> preds =
-          ConflictingPredecessors(*this, rt.pid, decl.service);
-      bool cycle = sg_.WouldCycle(rt.pid, preds);
-      if (!cycle) {
-        for (ProcessId v :
-             VirtualCompletionTargets(*this, rt.pid, decl.service)) {
-          if (sg_.Reaches(v, rt.pid)) {
-            cycle = true;
-            break;
-          }
-        }
-      }
+      const bool cycle =
+          sg_.WouldCycle(rt.pid, ConflictingPredecessors(*this, rt.pid,
+                                                         decl.service)) ||
+          std::ranges::any_of(
+              VirtualCompletionTargets(*this, rt.pid, decl.service),
+              [&](ProcessId v) { return sg_.Reaches(v, rt.pid); });
       if (cycle) {
         if (ActiveProcessReachableFrom(*this, rt.pid)) {
           if (must_wait()) return false;
@@ -1012,26 +918,13 @@ Result<bool> TransactionalProcessScheduler::ExecuteCompletionStep(
     // active_pids_ is ascending, the order of the runtime slots.
     for (ProcessId other_pid : active_pids_) {
       const ProcessRuntime* other = FindRuntime(other_pid);
-      if (other == nullptr) continue;
-      if (other->pid == rt.pid || !other->state.IsActive()) continue;
-      const std::vector<ActivityId> effective =
-          other->state.EffectiveCommitted();
-      size_t last_noncomp = SIZE_MAX;
-      for (size_t k = 0; k < effective.size(); ++k) {
-        if (IsNonCompensatable(other->def->KindOf(effective[k]))) {
-          last_noncomp = k;
-        }
+      if (other == nullptr || other->pid == rt.pid ||
+          !other->state.IsActive()) {
+        continue;
       }
-      for (size_t k = 0; k < effective.size(); ++k) {
-        if (other->def->KindOf(effective[k]) !=
-            ActivityKind::kCompensatable) {
-          continue;
-        }
-        // Quasi-committed (pre-pivot, F-REC) effects are never undone.
-        if (last_noncomp != SIZE_MAX && k < last_noncomp) continue;
-        ServiceId other_service =
-            other->def->activity(effective[k]).service;
-        if (spec_.ServicesConflict(decl.service, other_service) &&
+      for (ActivityId undone : CompensatedOnAbort(other->state)) {
+        if (spec_.ServicesConflict(decl.service,
+                                   other->def->activity(undone).service) &&
             must_wait()) {
           return false;
         }
@@ -1049,23 +942,17 @@ Result<bool> TransactionalProcessScheduler::ExecuteCompletionStep(
   }
   Result<InvocationOutcome> outcome = subsystem->Invoke(service, request);
   if (!outcome.ok()) {
-    if (outcome.status().IsUnavailable()) {
-      ++stats_.blocked_by_locks;
-      return false;
-    }
-    if (outcome.status().IsAborted()) {
-      // Compensating activities are retriable by definition (§3.1), and
-      // forward completion steps are retriable by the well-formed flex
-      // structure: re-invoke on a later pass.
+    // Compensating activities are retriable by definition (§3.1), and
+    // forward completion steps are retriable by the well-formed flex
+    // structure: an aborted one is re-invoked on a later pass.
+    return InvocationFailed(outcome.status(), [&] {
       ++stats_.failed_invocations;
       if (++rt.retries[step.activity] > kMaxRetries) {
-        return Status::Internal(
-            StrCat("completion step for a", step.activity, " of P", rt.pid,
-                   " exceeded retry cap"));
+        return Status::Internal(StrCat("completion step for a", step.activity,
+                                       " of P", rt.pid, " exceeded retry cap"));
       }
-      return true;
-    }
-    return outcome.status();
+      return Status::OK();
+    });
   }
   rt.pending.erase(rt.pending.begin());
   TPM_RETURN_IF_ERROR(EmitActivity(rt, step.activity, step.inverse));
@@ -1087,43 +974,57 @@ Status TransactionalProcessScheduler::ReleasePreparedIfUnblocked(
     // keeps waiting (a prepared-but-unreachable branch resolves when the
     // participant heals — it never wedges, and never aborts against the
     // logged decision).
-    Status resolved = coordinator_.RecoverInDoubt();
-    if (resolved.IsUnavailable()) return Status::OK();
-    TPM_RETURN_IF_ERROR(resolved);
-    rt.release_in_doubt = false;
-  } else {
-    // Lemma 1: the deferred commits are released only once no conflicting
-    // predecessor process is active any more — then all branches commit
-    // atomically via 2PC.
-    bool blocked = false;
-    sg_.ForEachPredecessor(rt.pid, [&](ProcessId p) {
-      if (blocked) return;
-      const ProcessRuntime* other = FindRuntime(p);
-      if (other == nullptr || !other->state.IsActive()) return;
-      if (options_.quasi_commit_optimization &&
-          QuasiCommitAdmissible(*this, ViewOf(*other), ViewOf(rt))) {
-        return;
-      }
-      blocked = true;
-    });
-    if (blocked) return Status::OK();
-    std::vector<CommitBranch> branches;
-    for (const PreparedBranch& b : rt.prepared) {
-      branches.push_back(CommitBranch{b.subsystem, b.tx});
-    }
-    Status committed = coordinator_.CommitAll(branches);
-    if (committed.IsUnavailable()) {
-      rt.release_in_doubt = true;
-      return Status::OK();
-    }
-    TPM_RETURN_IF_ERROR(committed);
+    return ResolveInDoubt(rt).status();
   }
+  // Lemma 1: the deferred commits are released only once no conflicting
+  // predecessor process is active any more — then all branches commit
+  // atomically via 2PC.
+  bool blocked = false;
+  sg_.ForEachPredecessor(rt.pid, [&](ProcessId p) {
+    if (blocked) return;
+    const ProcessRuntime* other = FindRuntime(p);
+    if (other == nullptr || !other->state.IsActive()) return;
+    if (options_.quasi_commit_optimization &&
+        QuasiCommitAdmissible(*this, ViewOf(*other), ViewOf(rt))) {
+      return;
+    }
+    blocked = true;
+  });
+  if (blocked) return Status::OK();
+  Status committed = coordinator_.CommitAll(CommitBranchesOf(rt));
+  if (committed.IsUnavailable()) {
+    rt.release_in_doubt = true;
+    return Status::OK();
+  }
+  TPM_RETURN_IF_ERROR(committed);
+  return EmitReleasedBranches(rt);
+}
+
+std::vector<CommitBranch> TransactionalProcessScheduler::CommitBranchesOf(
+    const ProcessRuntime& rt) {
+  std::vector<CommitBranch> branches;
+  for (const PreparedBranch& b : rt.prepared) {
+    branches.push_back(CommitBranch{b.subsystem, b.tx});
+  }
+  return branches;
+}
+
+Status TransactionalProcessScheduler::EmitReleasedBranches(ProcessRuntime& rt) {
   std::vector<PreparedBranch> released = std::move(rt.prepared);
   rt.prepared.clear();
   for (const PreparedBranch& b : released) {
     TPM_RETURN_IF_ERROR(EmitActivity(rt, b.activity, /*inverse=*/false));
   }
   return Status::OK();
+}
+
+Result<bool> TransactionalProcessScheduler::ResolveInDoubt(ProcessRuntime& rt) {
+  Status resolved = coordinator_.RecoverInDoubt();
+  if (resolved.IsUnavailable()) return false;
+  TPM_RETURN_IF_ERROR(resolved);
+  rt.release_in_doubt = false;
+  TPM_RETURN_IF_ERROR(EmitReleasedBranches(rt));
+  return true;
 }
 
 // True iff the aborted process left no trace: everything it committed was
@@ -1208,7 +1109,7 @@ Status TransactionalProcessScheduler::FinishProcess(ProcessRuntime& rt,
     sg_.ForEachSuccessor(rt.pid,
                          [&](ProcessId succ) { prune_seeds.push_back(succ); });
     sg_.RemoveNode(rt.pid);
-    RemoveEmitter(rt);
+    DropFromRows(service_emitters_, rt);
     MarkPruned(rt.pid);
   } else {
     prune_seeds.push_back(rt.pid);
@@ -1224,13 +1125,11 @@ Result<bool> TransactionalProcessScheduler::TryExecuteProcess(
   }
   // Congestion control: unstarted processes wait for a concurrency slot.
   if (!rt.started && options_.max_concurrent_processes > 0) {
-    int started_active = 0;
-    for (ProcessId pid : active_pids_) {
-      const ProcessRuntime* other = FindRuntime(pid);
-      if (other != nullptr && other->state.IsActive() && other->started) {
-        ++started_active;
-      }
-    }
+    const auto started_active =
+        std::count_if(active_pids_.begin(), active_pids_.end(), [&](auto pid) {
+          const ProcessRuntime* other = FindRuntime(pid);
+          return other != nullptr && other->state.IsActive() && other->started;
+        });
     if (started_active >= options_.max_concurrent_processes) {
       return false;  // queued
     }
@@ -1266,21 +1165,7 @@ Result<bool> TransactionalProcessScheduler::TryExecuteProcess(
     if (!rt.prepared.empty()) {
       return false;  // waiting for prepared release
     }
-    // Def. 11 clause 1: a process must not commit before an active process
-    // it conflicts with (edge P_i -> P_j requires C_i << C_j). kUnsafe
-    // ignores this, reproducing the classical behaviour.
-    if (options_.protocol != AdmissionProtocol::kUnsafe) {
-      bool wait = false;
-      sg_.ForEachPredecessor(rt.pid, [&](ProcessId p) {
-        if (wait) return;
-        const ProcessRuntime* other = FindRuntime(p);
-        if (other != nullptr && other->state.IsActive()) wait = true;
-      });
-      if (wait) {
-        ++stats_.commit_waits;
-        return false;
-      }
-    }
+    if (WaitsForCommitOrder(rt)) return false;
     TPM_RETURN_IF_ERROR(FinishProcess(rt, /*committed=*/true));
     return true;
   }
@@ -1288,9 +1173,13 @@ Result<bool> TransactionalProcessScheduler::TryExecuteProcess(
   // Snapshot: execution mutates rt.ready.
   const std::vector<ActivityId> candidates(rt.ready.begin(), rt.ready.end());
   for (ActivityId act : candidates) {
-    switch (guard_->Admit(ViewOf(rt), act)) {
-      case AdmissionDecision::kAdmit: {
-        TPM_ASSIGN_OR_RETURN(bool progress, ExecuteActivity(rt, act));
+    const AdmissionDecision decision = guard_->Admit(ViewOf(rt), act);
+    switch (decision) {
+      case AdmissionDecision::kAdmit:
+      case AdmissionDecision::kPrepare: {
+        TPM_ASSIGN_OR_RETURN(
+            bool progress,
+            ExecuteActivity(rt, act, decision == AdmissionDecision::kPrepare));
         if (progress) return true;
         break;  // blocked by subsystem locks; try a sibling
       }
@@ -1301,16 +1190,43 @@ Result<bool> TransactionalProcessScheduler::TryExecuteProcess(
         // Admitting the activity would create an unresolvable conflict
         // cycle: treat as a failed invocation, triggering the alternative
         // execution path (or abort).
-        ++stats_.failed_invocations;
-        TPM_RETURN_IF_ERROR(history_.Append(ScheduleEvent::Activity(
-            ActivityInstance{rt.pid, act, false},
-            /*aborted_invocation=*/true)));
+        TPM_RETURN_IF_ERROR(RecordFailedInvocation(rt.pid, act));
         TPM_RETURN_IF_ERROR(HandleActivityFailure(rt, act));
         return true;
     }
   }
   if (deferred_any) ++stats_.deferrals;
   return false;
+}
+
+std::vector<SchedulerLogRecord> TransactionalProcessScheduler::VoteRecords(
+    const ProcessRuntime& rt) {
+  std::vector<SchedulerLogRecord> records;
+  for (const PreparedBranch& b : rt.prepared) {
+    records.push_back({SchedulerLogRecord::Kind::kCommitHeld, rt.pid,
+                       b.activity,
+                       StrCat(b.subsystem->id().value(), ":", b.tx.value()),
+                       b.return_value});
+  }
+  records.push_back(
+      {SchedulerLogRecord::Kind::kCommitHeld, rt.pid, ActivityId(), "", 0});
+  return records;
+}
+
+bool TransactionalProcessScheduler::WaitsForCommitOrder(
+    const ProcessRuntime& rt) {
+  // A process must not commit before an active process it conflicts with
+  // (edge P_i -> P_j requires C_i << C_j). kUnsafe ignores this,
+  // reproducing the classical behaviour.
+  if (options_.protocol == AdmissionProtocol::kUnsafe) return false;
+  bool wait = false;
+  sg_.ForEachPredecessor(rt.pid, [&](ProcessId p) {
+    if (wait) return;
+    const ProcessRuntime* other = FindRuntime(p);
+    if (other != nullptr && other->state.IsActive()) wait = true;
+  });
+  if (wait) ++stats_.commit_waits;
+  return wait;
 }
 
 Result<bool> TransactionalProcessScheduler::MaybeVoteHeldCommit(
@@ -1323,31 +1239,15 @@ Result<bool> TransactionalProcessScheduler::MaybeVoteHeldCommit(
   // consistent: a sub ordered after another on some shard cannot vote, and
   // hence the spanning process cannot commit, before that predecessor
   // terminates.
-  if (options_.protocol != AdmissionProtocol::kUnsafe) {
-    bool wait = false;
-    sg_.ForEachPredecessor(rt.pid, [&](ProcessId p) {
-      if (wait) return;
-      const ProcessRuntime* other = FindRuntime(p);
-      if (other != nullptr && other->state.IsActive()) wait = true;
-    });
-    if (wait) {
-      ++stats_.commit_waits;
-      return false;
-    }
-  }
+  if (WaitsForCommitOrder(rt)) return false;
   // Durable vote: one HELD record per prepared branch (its subsystem:tx
   // handle, so recovery can finish phase two), then the vote marker. Only
   // once the marker is durable may the coordinator learn of the vote — a
   // crash before the flush is presumed abort.
   if (log_ != nullptr) {
-    for (const PreparedBranch& b : rt.prepared) {
-      TPM_RETURN_IF_ERROR(log_->Append(
-          {SchedulerLogRecord::Kind::kCommitHeld, rt.pid, b.activity,
-           StrCat(b.subsystem->id().value(), ":", b.tx.value()),
-           b.return_value}));
+    for (const SchedulerLogRecord& record : VoteRecords(rt)) {
+      TPM_RETURN_IF_ERROR(log_->Append(record));
     }
-    TPM_RETURN_IF_ERROR(log_->Append(
-        {SchedulerLogRecord::Kind::kCommitHeld, rt.pid, ActivityId(), "", 0}));
     TPM_RETURN_IF_ERROR(log_->Flush());
   }
   rt.commit_held = true;
@@ -1374,15 +1274,12 @@ Status TransactionalProcessScheduler::ResolveDeadlock() {
   // external coordinator, not on local state: such a pass is external
   // waiting, not a deadlock. Give the decision bounded (deterministic,
   // pass-counted) time to arrive before falling through to victimization.
-  bool external_wait = false;
-  for (ProcessId pid : active_pids_) {
-    const ProcessRuntime* rt = FindRuntime(pid);
-    if (rt != nullptr && rt->state.IsActive() &&
-        (rt->commit_held || rt->decided_commit)) {
-      external_wait = true;
-      break;
-    }
-  }
+  const bool external_wait =
+      std::any_of(active_pids_.begin(), active_pids_.end(), [&](auto pid) {
+        const ProcessRuntime* rt = FindRuntime(pid);
+        return rt != nullptr && rt->state.IsActive() &&
+               (rt->commit_held || rt->decided_commit);
+      });
   if (external_wait && ++held_stall_passes_ < kHeldStallPatience) {
     return Status::OK();
   }
@@ -1390,9 +1287,7 @@ Status TransactionalProcessScheduler::ResolveDeadlock() {
   // still in B-REC (cheap backward recovery), then the one with the least
   // committed work to undo, then the youngest.
   ProcessRuntime* victim = nullptr;
-  auto cost = [](const ProcessRuntime& rt) {
-    return rt.state.EffectiveCommitted().size();
-  };
+  std::tuple<bool, int64_t, ProcessId> victim_rank;
   for (ProcessId pid : active_pids_) {
     ProcessRuntime* rt = FindRuntime(pid);
     if (rt == nullptr) continue;
@@ -1402,23 +1297,13 @@ Status TransactionalProcessScheduler::ResolveDeadlock() {
     // stays victimizable — that is how distributed lock cycles resolve:
     // the local abort surfaces to the agent, which aborts globally.)
     if (rt->commit_held || rt->decided_commit) continue;
-    if (victim == nullptr) {
+    const std::tuple<bool, int64_t, ProcessId> rank{
+        rt->state.recovery_state() == RecoveryState::kBackwardRecoverable,
+        -static_cast<int64_t>(rt->state.EffectiveCommitted().size()), rt->pid};
+    if (victim == nullptr || rank > victim_rank) {
       victim = rt;
-      continue;
+      victim_rank = rank;
     }
-    const bool rt_brec = rt->state.recovery_state() ==
-                         RecoveryState::kBackwardRecoverable;
-    const bool victim_brec = victim->state.recovery_state() ==
-                             RecoveryState::kBackwardRecoverable;
-    if (rt_brec != victim_brec) {
-      if (rt_brec) victim = rt;
-      continue;
-    }
-    if (cost(*rt) != cost(*victim)) {
-      if (cost(*rt) < cost(*victim)) victim = rt;
-      continue;
-    }
-    if (rt->pid > victim->pid) victim = rt;
   }
   if (victim == nullptr) {
     // Every active process is already completing and this pass made no
@@ -1436,7 +1321,6 @@ Status TransactionalProcessScheduler::ResolveDeadlock() {
     ProcessRuntime* target = nullptr;
     bool target_is_inverse = false;
     size_t latest_original = 0;
-    const auto& events = history_.events();
     for (ProcessId pid : active_pids_) {
       ProcessRuntime* rt = FindRuntime(pid);
       if (rt == nullptr || !rt->state.IsActive() || !rt->completing()) {
@@ -1447,17 +1331,8 @@ Status TransactionalProcessScheduler::ResolveDeadlock() {
         if (target == nullptr) target = rt;
         continue;
       }
-      // Position of the most recent original commit of the head inverse.
-      size_t pos = 0;
-      for (size_t i = events.size(); i-- > 0;) {
-        const ScheduleEvent& e = events[i];
-        if (e.type == EventType::kActivity && !e.aborted_invocation &&
-            !e.act.inverse && e.act.process == rt->pid &&
-            e.act.activity == rt->pending.front().activity) {
-          pos = i;
-          break;
-        }
-      }
+      const size_t pos =
+          LatestOriginalPosition(rt->pid, rt->pending.front().activity);
       if (!target_is_inverse || pos > latest_original) {
         target = rt;
         target_is_inverse = true;
@@ -1672,15 +1547,9 @@ Status TransactionalProcessScheduler::Checkpoint() {
     // would make a later recovery presume abort against a commit decision
     // the coordinator may already have logged.
     if ((rt->commit_held || rt->decided_commit) && !rt->prepared.empty()) {
-      for (const PreparedBranch& b : rt->prepared) {
-        compact.push_back({SchedulerLogRecord::Kind::kCommitHeld, rt->pid,
-                           b.activity,
-                           StrCat(b.subsystem->id().value(), ":",
-                                  b.tx.value()),
-                           b.return_value});
+      for (SchedulerLogRecord& record : VoteRecords(*rt)) {
+        compact.push_back(std::move(record));
       }
-      compact.push_back({SchedulerLogRecord::Kind::kCommitHeld, rt->pid,
-                         ActivityId(), "", 0});
     }
   }
   std::stable_sort(acts.begin(), acts.end(),
@@ -1764,43 +1633,36 @@ Status TransactionalProcessScheduler::Recover(
         EmplaceRuntime(record.pid, std::move(rt));
         break;
       }
-      case SchedulerLogRecord::Kind::kActivityCommitted: {
-        ProcessRuntime* rt = FindRuntime(record.pid);
-        if (rt == nullptr || !rt->state.RecordCommit(record.activity).ok()) {
-          ++stats_.recovered_log_anomalies;
-          break;
-        }
-        TPM_RETURN_IF_ERROR(history_.Append(
-            ScheduleEvent::Activity(
-                ActivityInstance{record.pid, record.activity, false}),
-            /*enforce_legal=*/false));
-        break;
-      }
+      case SchedulerLogRecord::Kind::kActivityCommitted:
       case SchedulerLogRecord::Kind::kActivityCompensated: {
+        const bool inverse =
+            record.kind == SchedulerLogRecord::Kind::kActivityCompensated;
         ProcessRuntime* rt = FindRuntime(record.pid);
         if (rt == nullptr ||
-            !rt->state.RecordCompensation(record.activity).ok()) {
+            !(inverse ? rt->state.RecordCompensation(record.activity)
+                      : rt->state.RecordCommit(record.activity))
+                 .ok()) {
           ++stats_.recovered_log_anomalies;
           break;
         }
         TPM_RETURN_IF_ERROR(history_.Append(
             ScheduleEvent::Activity(
-                ActivityInstance{record.pid, record.activity, true}),
+                ActivityInstance{record.pid, record.activity, inverse}),
             /*enforce_legal=*/false));
         break;
       }
-      case SchedulerLogRecord::Kind::kProcessCommitted: {
-        ProcessRuntime* rt = FindRuntime(record.pid);
-        if (rt != nullptr) rt->state.RecordCommitProcess();
-        TPM_RETURN_IF_ERROR(history_.Append(
-            ScheduleEvent::Commit(record.pid), /*enforce_legal=*/false));
-        break;
-      }
+      case SchedulerLogRecord::Kind::kProcessCommitted:
       case SchedulerLogRecord::Kind::kProcessAborted: {
-        ProcessRuntime* rt = FindRuntime(record.pid);
-        if (rt != nullptr) rt->state.RecordAbortProcess();
+        const bool committed =
+            record.kind == SchedulerLogRecord::Kind::kProcessCommitted;
+        if (ProcessRuntime* rt = FindRuntime(record.pid)) {
+          committed ? rt->state.RecordCommitProcess()
+                    : rt->state.RecordAbortProcess();
+        }
         TPM_RETURN_IF_ERROR(history_.Append(
-            ScheduleEvent::Abort(record.pid), /*enforce_legal=*/false));
+            committed ? ScheduleEvent::Commit(record.pid)
+                      : ScheduleEvent::Abort(record.pid),
+            /*enforce_legal=*/false));
         break;
       }
       case SchedulerLogRecord::Kind::kCommitHeld: {
@@ -1970,7 +1832,12 @@ Status TransactionalProcessScheduler::Recover(
       if (outcome.ok()) {
         return EmitActivity(rt, activity, inverse);
       }
-      if (!outcome.status().IsAborted()) return outcome.status();
+      // Recovery cannot wait for a later pass: a blocked step fails it, an
+      // aborted one is re-invoked at once.
+      TPM_ASSIGN_OR_RETURN(bool retry, InvocationFailed(outcome.status(), [] {
+                             return Status::OK();
+                           }));
+      if (!retry) return outcome.status();
     }
     return Status::Internal("recovery step exceeded retry cap");
   };

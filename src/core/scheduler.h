@@ -1,12 +1,13 @@
 #ifndef TPM_CORE_SCHEDULER_H_
 #define TPM_CORE_SCHEDULER_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/flat_containers.h"
@@ -188,11 +189,6 @@ class TransactionalProcessScheduler : private SchedulerView {
     CheckThread("admission_view");
     return *this;
   }
-
-  /// Held processes that voted but have not yet received a decision —
-  /// they are externally in flight (the runtime's idle accounting must
-  /// treat them as busy).
-  int64_t held_undecided_count() const;
 
   /// Executes one scheduling pass over all active processes. Returns true
   /// while work remains.
@@ -381,13 +377,8 @@ class TransactionalProcessScheduler : private SchedulerView {
     return sg_;
   }
   std::optional<ProcessView> FindProcess(ProcessId pid) const override;
-  bool HasEmitted(ProcessId pid, ServiceId service) const override;
-  void ForEachEmitter(
-      ServiceId service,
-      const std::function<void(ProcessId)>& fn) const override;
-  void ForEachActiveOnService(
-      ServiceId service,
-      const std::function<void(ProcessId)>& fn) const override;
+  std::span<const ProcessId> EmittersOf(ServiceId service) const override;
+  std::span<const ProcessId> ActiveOnService(ServiceId service) const override;
 
   static ProcessView ViewOf(const ProcessRuntime& rt) {
     return ProcessView{rt.pid, rt.def, &rt.state};
@@ -407,8 +398,10 @@ class TransactionalProcessScheduler : private SchedulerView {
 
   // Dense runtime table: slot pid.value() - 1 (pids are handed out
   // sequentially from 1; Recover re-creates the original pids).
-  ProcessRuntime* FindRuntime(ProcessId pid);
   const ProcessRuntime* FindRuntime(ProcessId pid) const;
+  ProcessRuntime* FindRuntime(ProcessId pid) {
+    return const_cast<ProcessRuntime*>(std::as_const(*this).FindRuntime(pid));
+  }
   void EmplaceRuntime(ProcessId pid, std::unique_ptr<ProcessRuntime> rt);
 
   /// A fresh runtime for `pid` — from the pool (reclaim_terminated) when
@@ -430,18 +423,31 @@ class TransactionalProcessScheduler : private SchedulerView {
   void DeactivatePid(const ProcessRuntime& rt);
 
   // Dense per-service emitter and footprint indexes (rows follow spec_'s
-  // interning).
+  // interning; each row is sorted ascending).
+  using ServiceRows = std::vector<std::vector<ProcessId>>;
   void EnsureServiceRows();
-  void AddEmitter(ServiceId service, ProcessId pid);
-  void RemoveEmitter(const ProcessRuntime& rt);
+  void AddToRow(ServiceRows& rows, ServiceId service, ProcessId pid);
+  /// Drops `rt` from its activities' rows, the only ones that can name it.
+  void DropFromRows(ServiceRows& rows, const ProcessRuntime& rt);
   void AddFootprint(const ProcessRuntime& rt);
-  void RemoveFootprint(const ProcessRuntime& rt);
 
   // Execution steps.
   Result<bool> TryExecuteProcess(ProcessRuntime& rt);
   Result<bool> MaybeVoteHeldCommit(ProcessRuntime& rt);
-  Result<bool> ExecuteActivity(ProcessRuntime& rt, ActivityId act);
+  /// The log records of the durable "prepared" vote.
+  static std::vector<SchedulerLogRecord> VoteRecords(const ProcessRuntime& rt);
+  /// `prepare`: the guard decided Lemma 1's deferred commit (kPrepare).
+  Result<bool> ExecuteActivity(ProcessRuntime& rt, ActivityId act,
+                               bool prepare);
   Result<bool> ExecuteCompletionStep(ProcessRuntime& rt);
+  /// The invocation outcome ladder of every failed invocation: an
+  /// unavailable subsystem counts as blocked by locks (false: no progress);
+  /// an aborted local transaction runs `on_abort` (retry or failure) and
+  /// counts as progress (true); anything else is an error.
+  template <typename OnAbort>
+  Result<bool> InvocationFailed(const Status& failure, OnAbort&& on_abort);
+  /// Records an aborted (effect-free) invocation in the history.
+  Status RecordFailedInvocation(ProcessId pid, ActivityId act);
   Status HandleInvocationAbort(ProcessRuntime& rt, ActivityId act);
   Status HandleActivityFailure(ProcessRuntime& rt, ActivityId act);
   /// Nearest committed ancestor of `act` with an untried alternative group
@@ -466,14 +472,30 @@ class TransactionalProcessScheduler : private SchedulerView {
   Status StartAbort(ProcessRuntime& rt);
   bool AbortedProcessLeavesNoTrace(const ProcessRuntime& rt) const;
   Status FinishProcess(ProcessRuntime& rt, bool committed);
+  /// Def. 11 clause 1 (commit order): true, counted as a commit wait, while
+  /// some serialization-graph predecessor of `rt` is still active.
+  bool WaitsForCommitOrder(const ProcessRuntime& rt);
   Status ReleasePreparedIfUnblocked(ProcessRuntime& rt);
+  static std::vector<CommitBranch> CommitBranchesOf(const ProcessRuntime& rt);
+  /// Emits the prepared branches as committed (they become visible).
+  Status EmitReleasedBranches(ProcessRuntime& rt);
+  /// Re-drives a logged 2PC commit decision whose phase two found a
+  /// participant unreachable, then emits the released branches. False while
+  /// some participant is still unreachable.
+  Result<bool> ResolveInDoubt(ProcessRuntime& rt);
   Status EmitActivity(ProcessRuntime& rt, ActivityId act, bool inverse);
+  /// Cost model: `rt` is occupied for `service`'s configured duration.
+  void OccupyFor(ProcessRuntime& rt, ServiceId service);
+  /// History position of the latest original commit of (pid, act), or 0.
+  size_t LatestOriginalPosition(ProcessId pid, ActivityId act) const;
   /// Write-ahead logging of a compensation: appends the COMP record and
   /// flushes, making the intention durable before the inverse is invoked.
   Status LogCompensationIntent(ProcessId pid, ActivityId activity);
   Result<bool> GateCompensation(ProcessRuntime& rt, ActivityId compensated);
   Status CompensateSubtree(ProcessRuntime& rt, ActivityId branch_point,
                            int next_group);
+  /// Marks ready each successor of `committed` on its active branch whose
+  /// active-branch predecessors have all committed.
   void RecomputeReadyFrom(ProcessRuntime& rt, ActivityId committed);
   void AddSerializationEdges(ProcessId pid,
                              const std::vector<ProcessId>& preds);
@@ -525,12 +547,12 @@ class TransactionalProcessScheduler : private SchedulerView {
 
   /// service dense index -> processes that emitted an instance of it
   /// (sorted ascending). Conflict partners come from spec_.PartnersOf.
-  std::vector<std::vector<ProcessId>> service_emitters_;
+  ServiceRows service_emitters_;
   /// service dense index -> active processes whose definition declares an
   /// activity on it (sorted ascending): the §3.5 completion pre-order
   /// reads the rows of a service's partners instead of the active set.
   /// Holds exactly the pids of active_pids_ and is maintained with it.
-  std::vector<std::vector<ProcessId>> service_footprint_;
+  ServiceRows service_footprint_;
 
   /// Per-protocol admission policy (owns the kSerial token / the
   /// kTwoPhaseLocking lock table).

@@ -102,20 +102,8 @@ Result<SubmitTicket> CrossShardAgent::Begin(const ProcessDef* def,
       router_->Split(*def, StrCat(def->name(), "@g", gsn));
   if (!plan.ok()) return plan.status();  // recovery will presume-abort gsn
 
-  auto state = std::make_unique<SpanState>();
-  state->gsn = gsn;
-  state->original = def;
-  state->param = param;
-  state->plan = std::move(*plan);
-  state->trunk.resize(state->plan.subs.size());
-  for (size_t i = 0; i < state->plan.subs.size(); ++i) {
-    state->trunk[i].plan = &state->plan.subs[i];
-  }
-  state->tails.resize(state->plan.tails.size());
-  for (size_t i = 0; i < state->plan.tails.size(); ++i) {
-    state->tails[i].plan = &state->plan.tails[i];
-  }
-
+  std::unique_ptr<SpanState> state =
+      MakeSpan(gsn, def, param, std::move(*plan));
   SubmitTicket ticket;
   ticket.gsn = gsn;
   ticket.shard = state->plan.subs.front().shard;
@@ -127,6 +115,24 @@ Result<SubmitTicket> CrossShardAgent::Begin(const ProcessDef* def,
   ++spans_begun_;
   LaunchReady(st);
   return ticket;
+}
+
+std::unique_ptr<CrossShardAgent::SpanState> CrossShardAgent::MakeSpan(
+    int64_t gsn, const ProcessDef* original, int64_t param, SplitPlan plan) {
+  auto state = std::make_unique<SpanState>();
+  state->gsn = gsn;
+  state->original = original;
+  state->param = param;
+  state->plan = std::move(plan);
+  state->trunk.resize(state->plan.subs.size());
+  for (size_t i = 0; i < state->plan.subs.size(); ++i) {
+    state->trunk[i].plan = &state->plan.subs[i];
+  }
+  state->tails.resize(state->plan.tails.size());
+  for (size_t i = 0; i < state->plan.tails.size(); ++i) {
+    state->tails[i].plan = &state->plan.tails[i];
+  }
+  return state;
 }
 
 CrossShardAgent::SubState* CrossShardAgent::FindSub(SpanState* st,
@@ -438,18 +444,21 @@ void CrossShardAgent::MaybeFinish(SpanState* st) {
     const SubState* sub = FindSub(st, is_tail, index);
     if (sub->submitted && !sub->terminated) return;
   }
-  Status logged = AppendRecord(StrCat(kRecEnd, "|", st->gsn));
-  if (!logged.ok()) {
-    StickyFail(logged);
-    return;
+  (void)CloseSpan(st, /*log_end=*/true);  // a failure is sticky
+}
+
+Status CrossShardAgent::CloseSpan(SpanState* st, bool log_end) {
+  if (log_end) {
+    Status logged = AppendRecord(StrCat(kRecEnd, "|", st->gsn));
+    if (!logged.ok()) {
+      StickyFail(logged);
+      return error_;
+    }
   }
   st->done = true;
   --in_flight_;
-  if (st->commit) {
-    ++spans_committed_;
-  } else {
-    ++spans_aborted_;
-  }
+  ++(st->commit ? spans_committed_ : spans_aborted_);
+  return Status::OK();
 }
 
 int64_t CrossShardAgent::InFlightCount() const {
@@ -531,19 +540,8 @@ Result<CrossShardAgent::SpanRecoveryPlan> CrossShardAgent::RecoverScan(
       TPM_ASSIGN_OR_RETURN(SplitPlan split,
                            router_->Split(*def->second,
                                           StrCat(name, "@g", gsn)));
-      auto state = std::make_unique<SpanState>();
-      state->gsn = gsn;
-      state->original = def->second;
-      state->param = param;
-      state->plan = std::move(split);
-      state->trunk.resize(state->plan.subs.size());
-      for (size_t i = 0; i < state->plan.subs.size(); ++i) {
-        state->trunk[i].plan = &state->plan.subs[i];
-      }
-      state->tails.resize(state->plan.tails.size());
-      for (size_t i = 0; i < state->plan.tails.size(); ++i) {
-        state->tails[i].plan = &state->plan.tails[i];
-      }
+      std::unique_ptr<SpanState> state =
+          MakeSpan(gsn, def->second, param, std::move(split));
       state->recovered = true;
       state->first_pid_set = true;  // nobody is waiting on the promise
       ++in_flight_;
@@ -574,13 +572,7 @@ Result<CrossShardAgent::SpanRecoveryPlan> CrossShardAgent::RecoverScan(
         return Status::Internal(
             StrCat("coordinator log: SEND for unknown g", gsn));
       }
-      span->second->done = true;
-      --in_flight_;
-      if (span->second->commit) {
-        ++spans_committed_;
-      } else {
-        ++spans_aborted_;
-      }
+      TPM_RETURN_IF_ERROR(CloseSpan(span->second.get(), /*log_end=*/false));
     }
   }
 
@@ -627,18 +619,7 @@ Status CrossShardAgent::FinishRecovery() {
       st->decided = true;
       st->commit = false;
     }
-    Status logged = AppendRecord(StrCat(kRecEnd, "|", gsn));
-    if (!logged.ok()) {
-      StickyFail(logged);
-      return error_;
-    }
-    st->done = true;
-    --in_flight_;
-    if (st->commit) {
-      ++spans_committed_;
-    } else {
-      ++spans_aborted_;
-    }
+    TPM_RETURN_IF_ERROR(CloseSpan(st.get(), /*log_end=*/true));
   }
   return Status::OK();
 }

@@ -225,6 +225,11 @@ class CrossShardAgent {
   /// coordinator log alone.
   class RenamingListener;
 
+  /// A span's bookkeeping for `plan`, each sub pointing at its plan slot.
+  static std::unique_ptr<SpanState> MakeSpan(int64_t gsn,
+                                             const ProcessDef* original,
+                                             int64_t param, SplitPlan plan);
+
   // All handlers below run with mu_ held.
   SubState* FindSub(SpanState* st, bool is_tail, int index);
   SubState* FindSubByPid(int shard, ProcessId pid, SpanState** st_out,
@@ -242,6 +247,9 @@ class CrossShardAgent {
   void StartTailAttempt(SpanState* st, int k);
   void Decide(SpanState* st, bool commit, int tail_index);
   void MaybeFinish(SpanState* st);
+  /// Marks a decided span done and counts its outcome, after logging its
+  /// SEND record when `log_end` (a failed append is sticky).
+  Status CloseSpan(SpanState* st, bool log_end);
   Status AppendRecord(const std::string& record);
   void StickyFail(const Status& status);
   void DeliverFirstPid(SpanState* st, Result<ProcessId> pid);

@@ -24,10 +24,10 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,9 +88,9 @@ bool IndexMatchesScan(const TransactionalProcessScheduler& scheduler,
   }
   for (size_t i = 0; i < spec.NumServices(); ++i) {
     const ServiceId service = spec.ServiceAt(i);
-    std::vector<ProcessId> row;
-    view.ForEachActiveOnService(service,
-                                [&](ProcessId p) { row.push_back(p); });
+    const std::span<const ProcessId> active_row =
+        view.ActiveOnService(service);
+    const std::vector<ProcessId> row(active_row.begin(), active_row.end());
     std::vector<ProcessId> expected_row;
     for (const SchedulerView::ProcessView& p : active) {
       for (const ActivityDecl& decl : p.def->activities()) {
@@ -293,15 +293,14 @@ class CountingView : public SchedulerView {
     const size_t slot = static_cast<size_t>(pid.value() - 1);
     return ProcessView{pid, defs_[slot], states_[slot].get()};
   }
-  bool HasEmitted(ProcessId, ServiceId) const override { return false; }
-  void ForEachEmitter(ServiceId,
-                      const std::function<void(ProcessId)>&) const override {}
-  void ForEachActiveOnService(
-      ServiceId service,
-      const std::function<void(ProcessId)>& fn) const override {
+  std::span<const ProcessId> EmittersOf(ServiceId) const override {
+    return {};
+  }
+  std::span<const ProcessId> ActiveOnService(
+      ServiceId service) const override {
     auto row = footprint_.find(service);
-    if (row == footprint_.end()) return;
-    for (ProcessId pid : row->second) fn(pid);
+    if (row == footprint_.end()) return {};
+    return row->second;
   }
 
  private:

@@ -144,10 +144,11 @@ TEST(SchedulerReclaimTest, ExternalOrderOnReclaimedPredecessorIsSatisfied) {
   ASSERT_TRUE(scheduler.AddExternalOrder(*p1, *p2).ok());
   EXPECT_FALSE(scheduler.InSerializationGraph(*p1));
 
-  for (int i = 0; i < 100 && scheduler.held_undecided_count() == 0; ++i) {
+  for (int i = 0; i < 100 && scheduler.stats().cross_shard_prepares == 0;
+       ++i) {
     ASSERT_TRUE(scheduler.Step().ok());
   }
-  ASSERT_EQ(scheduler.held_undecided_count(), 1);
+  ASSERT_EQ(scheduler.stats().cross_shard_prepares, 1);
   ASSERT_TRUE(scheduler.ResolveHeldCommit(*p2, /*commit=*/true).ok());
   ASSERT_TRUE(scheduler.Run().ok());
   EXPECT_EQ(scheduler.OutcomeOf(*p2), ProcessOutcome::kCommitted);

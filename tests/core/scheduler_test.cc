@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "core/pred.h"
+#include "core/recoverability.h"
 #include "core/serializability.h"
 #include "testing/mini_world.h"
+#include "workload/dsl_binding.h"
 
 namespace tpm {
 namespace {
@@ -369,6 +371,98 @@ TEST(SchedulerTest, QuasiCommitOptimizationAdmitsEarlier) {
   EXPECT_LE(with.steps, without.steps);
   (void)p1;
   (void)p2;
+}
+
+// Footnote 2: a compensatable-retriable effect is undone by an abort like
+// any compensatable one, so Lemma 3's forward-step wait must see it.
+// C's pivot fails, and C's compensation cascade-aborts A, which is in F-REC.
+// A's forward completion step s (svc 12) then meets B's compensatable-
+// retriable b (svc 31, which conflicts with 12). Once A finishes, B's pivot q
+// fails and B compensates b. Had s run between b and b^-1, that pair could no
+// longer cancel (b << s << b^-1 is a cycle). A must wait for B instead.
+constexpr char kForwardStepMeetsCompensatableRetriable[] = R"(
+process C
+  activity k c service=21 comp=121
+  activity f p service=22
+  edge k f
+end
+process A
+  activity x p service=10
+  activity m c service=11 comp=111
+  activity s r service=12
+  edge x m
+  edge x s alt=1
+end
+process B
+  activity b cr service=31 comp=131
+  activity w1 c service=33 comp=133
+  activity w2 c service=34 comp=134
+  activity w3 c service=35 comp=135
+  activity q p service=32
+  edge b w1
+  edge w1 w2
+  edge w2 w3
+  edge w3 q
+end
+conflict 11 21
+conflict 12 31
+)";
+
+TEST(SchedulerTest, ForwardCompletionStepWaitsForCompensatableRetriable) {
+  auto world = ParseWorld(kForwardStepMeetsCompensatableRetriable);
+  ASSERT_TRUE(world.ok()) << world.status();
+  auto bound = BoundWorld::Bind(world->get());
+  ASSERT_TRUE(bound.ok()) << bound.status();
+  ASSERT_TRUE((*bound)->InjectFailure("C", "f").ok());
+  ASSERT_TRUE((*bound)->InjectFailure("B", "q").ok());
+  TransactionalProcessScheduler scheduler;
+  ASSERT_TRUE((*bound)->Attach(&scheduler).ok());
+  auto pids = (*bound)->SubmitAll(&scheduler);
+  ASSERT_TRUE(pids.ok());
+  ASSERT_TRUE(scheduler.Run().ok());
+  for (const char* name : {"A", "B", "C"}) {
+    EXPECT_EQ(scheduler.OutcomeOf(pids->at(name)), ProcessOutcome::kAborted)
+        << name;
+  }
+  EXPECT_GE(scheduler.stats().cascading_aborts, 1);
+  EXPECT_EQ((*bound)->ValueOf(ServiceId(12)), 1);  // A's forward step ran
+  auto pred = IsPRED(scheduler.history(), scheduler.conflict_spec());
+  ASSERT_TRUE(pred.ok());
+  EXPECT_TRUE(*pred) << scheduler.history().ToString();
+}
+
+TEST(SchedulerTest, RecoveryAroundCompensatableRetriableKeepsPredProcRec) {
+  // Crash after every pass of the scenario above; the recovered history
+  // must stay PRED and Proc-REC.
+  for (int crash_at = 1;; ++crash_at) {
+    auto world = ParseWorld(kForwardStepMeetsCompensatableRetriable);
+    ASSERT_TRUE(world.ok());
+    auto bound = BoundWorld::Bind(world->get());
+    ASSERT_TRUE(bound.ok());
+    ASSERT_TRUE((*bound)->InjectFailure("C", "f").ok());
+    ASSERT_TRUE((*bound)->InjectFailure("B", "q").ok());
+    RecoveryLog log;
+    TransactionalProcessScheduler scheduler({}, &log);
+    ASSERT_TRUE((*bound)->Attach(&scheduler).ok());
+    ASSERT_TRUE((*bound)->SubmitAll(&scheduler).ok());
+    bool more = true;
+    for (int step = 0; more && step < crash_at; ++step) {
+      auto result = scheduler.Step();
+      ASSERT_TRUE(result.ok()) << result.status();
+      more = *result;
+    }
+    if (!more) break;  // the run finished before the crash point
+    scheduler.Crash();
+    ASSERT_TRUE(scheduler.Recover((*world)->def_by_name).ok())
+        << "crash_at=" << crash_at;
+    auto pred = IsPRED(scheduler.history(), scheduler.conflict_spec());
+    ASSERT_TRUE(pred.ok());
+    EXPECT_TRUE(*pred) << "crash_at=" << crash_at << " "
+                       << scheduler.history().ToString();
+    EXPECT_TRUE(IsProcessRecoverable(scheduler.history(),
+                                     scheduler.conflict_spec()))
+        << "crash_at=" << crash_at << " " << scheduler.history().ToString();
+  }
 }
 
 }  // namespace

@@ -204,6 +204,11 @@ RunDigest RunShardedWorld(uint64_t seed, double kv_failure = 0.0) {
 
 constexpr uint64_t kSeeds[] = {3, 11, 1999};
 
+// Without faults the seed does not reach the two mixed-ADT worlds, so their
+// canaries inject KV failures, which draw from the KV seeds (`seed` in the
+// semantic world, `seed * 97 + t` per sharded tenant).
+constexpr double kGoldenKvFailure = 0.2;
+
 TEST(DeterminismCanaryTest, KvWorldIsAPureFunctionOfItsSeed) {
   for (uint64_t seed : kSeeds) {
     EXPECT_EQ(RunKvWorld(seed), RunKvWorld(seed))
@@ -215,7 +220,8 @@ TEST(DeterminismCanaryTest, KvWorldIsAPureFunctionOfItsSeed) {
 
 TEST(DeterminismCanaryTest, SemanticWorldIsAPureFunctionOfItsSeed) {
   for (uint64_t seed : kSeeds) {
-    EXPECT_EQ(RunSemanticWorld(seed), RunSemanticWorld(seed))
+    EXPECT_EQ(RunSemanticWorld(seed, kGoldenKvFailure),
+              RunSemanticWorld(seed, kGoldenKvFailure))
         << "semantic world (escrow/queue/KV) is nondeterministic at seed "
         << seed;
   }
@@ -232,7 +238,8 @@ TEST(DeterminismCanaryTest, FaultDomainWorldIsAPureFunctionOfItsSeed) {
 
 TEST(DeterminismCanaryTest, ShardedWorldIsAPureFunctionOfItsSeed) {
   for (uint64_t seed : kSeeds) {
-    EXPECT_EQ(RunShardedWorld(seed), RunShardedWorld(seed))
+    EXPECT_EQ(RunShardedWorld(seed, kGoldenKvFailure),
+              RunShardedWorld(seed, kGoldenKvFailure))
         << "sharded world (lockstep multi-threaded runtime) is "
            "nondeterministic at seed "
         << seed;
@@ -242,12 +249,9 @@ TEST(DeterminismCanaryTest, ShardedWorldIsAPureFunctionOfItsSeed) {
 // The canaries above compare a run with itself, so they cannot see a
 // refactor that changes what a world does. These goldens pin the two
 // mixed-ADT worlds across commits: service ids, subsystem ids, names and
-// the escrow/queue semantics all feed the history and the stats. With no
-// faults the seed does not reach these worlds, so the flaky runs add KV
-// failure injection, which draws from the KV seeds (`seed` in the semantic
-// world, `seed * 97 + t` per sharded tenant). Regenerate only for an
-// intended behaviour change.
-constexpr double kGoldenKvFailure = 0.2;
+// the escrow/queue semantics all feed the history and the stats. The flaky
+// runs (kGoldenKvFailure) are the ones the seed steers. Regenerate only for
+// an intended behaviour change.
 
 struct WorldGolden {
   uint64_t seed;
@@ -300,6 +304,12 @@ TEST(DeterminismCanaryTest, SeedsActuallySteerTheWorlds) {
   EXPECT_NE(RunFaultDomainWorld(3).history,
             RunFaultDomainWorld(1999).history)
       << "fault-domain world ignores its seed";
+  EXPECT_NE(RunSemanticWorld(3, kGoldenKvFailure).history,
+            RunSemanticWorld(1999, kGoldenKvFailure).history)
+      << "semantic world ignores its seed";
+  EXPECT_NE(RunShardedWorld(3, kGoldenKvFailure).history,
+            RunShardedWorld(1999, kGoldenKvFailure).history)
+      << "sharded world ignores its seed";
 }
 
 }  // namespace
