@@ -5,7 +5,10 @@
 // E26 — PRED verification time vs history length: the one-pass AnalyzePRED
 // against the per-prefix AnalyzePREDReference on PRED histories of
 // ~100-1000 events, recorded by the PRED scheduler over the mixed-ADT
-// order economy (ShardedWorld, two tenants, four processes outstanding).
+// order economy (ShardedWorld, two tenants, four processes outstanding),
+// and on recovered crash cuts: everything submitted at once, a few
+// scheduling passes, a crash and Recover, so about 100 processes are
+// active at the cut and the tail of completions is long.
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +23,7 @@
 #include "core/pred.h"
 #include "core/reduction.h"
 #include "core/scheduler.h"
+#include "log/recovery_log.h"
 #include "workload/schedule_generator.h"
 #include "workload/sharded_world.h"
 
@@ -76,6 +80,44 @@ RecordedHistory RecordHistory(int rounds) {
 // events.
 constexpr int kE26Rounds[] = {4, 10, 20, 40};
 
+// A recovered crash cut: `processes` definitions submitted at once,
+// `passes` scheduling passes, then a crash and Recover from the recovery
+// log, whose history holds the replayed prefix and the recovery actions.
+struct CrashCutHistory {
+  std::unique_ptr<ShardedWorld> world;
+  std::unique_ptr<RecoveryLog> log;
+  std::unique_ptr<TransactionalProcessScheduler> scheduler;
+  size_t active_at_cut = 0;
+};
+
+CrashCutHistory RecordCrashCut(int processes, int passes) {
+  CrashCutHistory h;
+  h.world = std::make_unique<ShardedWorld>(
+      ShardedWorldOptions{.seed = 26, .num_tenants = 2});
+  h.log = std::make_unique<RecoveryLog>();
+  h.scheduler = std::make_unique<TransactionalProcessScheduler>(
+      SchedulerOptions{}, h.log.get());
+  std::vector<const ProcessDef*> defs;
+  for (int i = 0; i < processes; ++i) {
+    const int t = i % h.world->num_tenants();
+    const std::string name = StrCat("x", i);
+    defs.push_back(i % 3 == 0   ? h.world->MakeOrderProcess(t, name, i % 3)
+                   : i % 3 == 1 ? h.world->MakeConsumeProcess(t, name, i % 3)
+                                : h.world->MakeRefillProcess(t, name, i % 3));
+  }
+  (void)h.world->RegisterAllSolo(h.scheduler.get());
+  for (const ProcessDef* def : defs) (void)h.scheduler->Submit(def);
+  for (int p = 0; p < passes; ++p) (void)h.scheduler->Step();
+  h.active_at_cut = h.scheduler->history().ActiveProcesses().size();
+  h.scheduler->Crash();
+  (void)h.scheduler->Recover(h.world->DefsByName());
+  return h;
+}
+
+// Submissions giving about 100 and 200 processes active at the cut.
+constexpr int kCrashCutProcesses[] = {100, 200};
+constexpr int kCrashCutPasses = 3;
+
 template <typename Analyze>
 double BestOfThreeMs(Analyze analyze) {
   double best = 1e300;
@@ -110,6 +152,33 @@ void PrintE26() {
               << fast_ms << std::setw(14) << reference_ms
               << std::setprecision(1) << std::setw(8)
               << reference_ms / fast_ms << "x"
+              << (fast_pred && reference_pred ? "" : "  (NOT PRED)") << "\n";
+    std::cout.unsetf(std::ios::fixed);
+  }
+  std::cout << "\n";
+  std::cout << "E26 | recovered crash cuts (best of 3)\n";
+  std::cout << "  active at cut  events  one-pass ms  tail trials  "
+               "reference ms  speedup\n";
+  for (int n : kCrashCutProcesses) {
+    CrashCutHistory h = RecordCrashCut(n, kCrashCutPasses);
+    const ProcessSchedule& history = h.scheduler->history();
+    const ConflictSpec& spec = h.scheduler->conflict_spec();
+    bool fast_pred = false, reference_pred = false;
+    size_t trials = 0;
+    const double fast_ms = BestOfThreeMs([&] {
+      auto outcome = AnalyzePRED(history, spec);
+      fast_pred = outcome.ok() && outcome->prefix_reducible;
+      trials = outcome.ok() ? outcome->tail_trials : 0;
+    });
+    const double reference_ms = BestOfThreeMs([&] {
+      auto outcome = AnalyzePREDReference(history, spec);
+      reference_pred = outcome.ok() && outcome->prefix_reducible;
+    });
+    std::cout << "  " << std::setw(13) << h.active_at_cut << std::setw(8)
+              << history.size() << std::fixed << std::setprecision(3)
+              << std::setw(13) << fast_ms << std::setw(13) << trials
+              << std::setw(14) << reference_ms << std::setprecision(1)
+              << std::setw(8) << reference_ms / fast_ms << "x"
               << (fast_pred && reference_pred ? "" : "  (NOT PRED)") << "\n";
     std::cout.unsetf(std::ios::fixed);
   }
@@ -194,6 +263,22 @@ BENCHMARK(BM_AnalyzePRED)
     ->Arg(kE26Rounds[1])
     ->Arg(kE26Rounds[2])
     ->Arg(kE26Rounds[3])
+    ->Unit(benchmark::kMillisecond);
+
+void BM_AnalyzePREDCrashCut(benchmark::State& state) {
+  CrashCutHistory h =
+      RecordCrashCut(static_cast<int>(state.range(0)), kCrashCutPasses);
+  const ProcessSchedule& history = h.scheduler->history();
+  for (auto _ : state) {
+    auto outcome = AnalyzePRED(history, h.scheduler->conflict_spec());
+    benchmark::DoNotOptimize(outcome);
+  }
+  state.counters["events"] = static_cast<double>(history.size());
+  state.counters["active_at_cut"] = static_cast<double>(h.active_at_cut);
+}
+BENCHMARK(BM_AnalyzePREDCrashCut)
+    ->Arg(kCrashCutProcesses[0])
+    ->Arg(kCrashCutProcesses[1])
     ->Unit(benchmark::kMillisecond);
 
 void BM_AnalyzePREDReference(benchmark::State& state) {

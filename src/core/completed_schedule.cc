@@ -21,9 +21,6 @@ Status CompletionBuilder::AppendExpanded(const ScheduleEvent& event,
     if (!event.aborted_invocation) {
       ProcState& state = procs_[event.act.process];
       ++state.version;
-      if (active_.count(event.act.process) > 0) {
-        started_[event.act.process] = &state;
-      }
       if (!event.act.inverse) {
         commit_pos_[event.act] = expanded_.size() - 1;
       }
@@ -33,7 +30,6 @@ Status CompletionBuilder::AppendExpanded(const ScheduleEvent& event,
   const ProcessExecutionState* state = expanded_.StateOf(event.process);
   if (state != nullptr && !state->IsActive()) {
     active_.erase(event.process);
-    started_.erase(event.process);
   }
   return Status::OK();
 }
@@ -75,39 +71,44 @@ Status CompletionBuilder::Refresh(ProcessId pid, ProcState* state) {
   return state->status;
 }
 
-Result<std::vector<TailStep>> CompletionBuilder::Merge(const Members& members) {
-  struct BackwardStep {
-    TailStep step;        // the inverse instance to emit
-    size_t original_pos;  // position of the original activity
-  };
-  std::vector<BackwardStep> backward;
-  std::vector<TailStep> forward;
-  for (const auto& [pid, state] : members) {
-    TPM_RETURN_IF_ERROR(Refresh(pid, state));
-    const std::vector<CompletionStep>& steps = state->completion.steps;
-    for (size_t i = 0; i < steps.size(); ++i) {
-      TailStep step{{pid, steps[i].activity, steps[i].inverse},
-                    state->services[i]};
-      if (steps[i].inverse) {
-        backward.push_back({step, state->positions[i]});
-      } else {
-        forward.push_back(step);
-      }
-    }
+bool CompletionBuilder::TailBefore::operator()(const TailKey& a,
+                                               const TailKey& b) const {
+  if (a.forward != b.forward) return !a.forward;
+  if (!a.forward && a.position != b.position) return a.position > b.position;
+  if (a.rank != b.rank) return a.rank < b.rank;
+  return a.index < b.index;
+}
+
+std::vector<CompletionBuilder::KeptStep> CompletionBuilder::Keyed(
+    ProcessId pid, int64_t rank, const ProcState& state,
+    const TailFilter& keep) const {
+  std::vector<KeptStep> keyed;
+  const std::vector<CompletionStep>& steps = state.completion.steps;
+  for (size_t i = 0; i < steps.size(); ++i) {
+    if (!keep(state.services[i])) continue;
+    const bool forward = !steps[i].inverse;
+    keyed.push_back({{forward, forward ? 0 : state.positions[i], rank, i},
+                     {{pid, steps[i].activity, steps[i].inverse},
+                      state.services[i]}});
   }
-  // Compensations in reverse order of the original activities (Lemma 2);
-  // stable sort keeps deterministic output when positions tie.
-  std::stable_sort(backward.begin(), backward.end(),
-                   [](const BackwardStep& a, const BackwardStep& b) {
-                     return a.original_pos > b.original_pos;
-                   });
-  // All compensations precede all forward steps (Lemma 3). Forward steps
-  // keep per-process completion order; `members` order fixes the
-  // inter-process order required by Def. 8 3(d).
+  std::sort(keyed.begin(), keyed.end());
+  return keyed;
+}
+
+Result<std::vector<TailStep>> CompletionBuilder::Merge(const Members& members) {
+  const TailFilter keep_all = [](ServiceId) { return true; };
+  std::vector<KeptStep> keyed;
+  for (size_t rank = 0; rank < members.size(); ++rank) {
+    const auto& [pid, state] = members[rank];
+    TPM_RETURN_IF_ERROR(Refresh(pid, state));
+    std::vector<KeptStep> steps =
+        Keyed(pid, static_cast<int64_t>(rank), *state, keep_all);
+    keyed.insert(keyed.end(), steps.begin(), steps.end());
+  }
+  std::sort(keyed.begin(), keyed.end());
   std::vector<TailStep> merged;
-  merged.reserve(backward.size() + forward.size());
-  for (const BackwardStep& step : backward) merged.push_back(step.step);
-  merged.insert(merged.end(), forward.begin(), forward.end());
+  merged.reserve(keyed.size());
+  for (const KeptStep& step : keyed) merged.push_back(step.step);
   return merged;
 }
 
@@ -139,8 +140,86 @@ Status CompletionBuilder::Add(const ScheduleEvent& event) {
   return Status::OK();
 }
 
-Result<std::vector<TailStep>> CompletionBuilder::ActiveTail() {
-  return Merge(Members(started_.begin(), started_.end()));
+Status CompletionBuilder::SyncTail(const ScheduleEvent& event,
+                                   const TailFilter& in_tail,
+                                   TailChange* change) {
+  auto same_step = [](const KeptStep& a, const KeptStep& b) {
+    return a.step.act == b.step.act && a.key.forward == b.key.forward &&
+           a.key.position == b.key.position;
+  };
+  // Completions depend only on their own process's execution state.
+  std::vector<ProcessId> touched;
+  switch (event.type) {
+    case EventType::kActivity:
+      if (!event.aborted_invocation) touched.push_back(event.act.process);
+      break;
+    case EventType::kCommit:
+    case EventType::kAbort:
+      touched.push_back(event.process);
+      break;
+    case EventType::kGroupAbort:
+      touched = event.group;
+      break;
+  }
+  std::vector<std::pair<ProcState*, std::vector<KeptStep>>> changed;
+  std::vector<KeptStep> removed;
+  std::vector<KeptStep> added;
+  for (ProcessId pid : touched) {
+    auto it = procs_.find(pid);
+    if (it == procs_.end()) continue;  // never ran: an empty completion
+    ProcState& state = it->second;
+    std::vector<KeptStep> next;
+    if (active_.count(pid) > 0) {
+      TPM_RETURN_IF_ERROR(Refresh(pid, &state));
+      next = Keyed(pid, pid.value(), state, in_tail);
+    }
+    // Trim the steps kept at either end; what is left in between changed.
+    const std::vector<KeptStep>& old = state.kept;
+    size_t head = 0;
+    while (head < old.size() && head < next.size() &&
+           same_step(old[head], next[head])) {
+      ++head;
+    }
+    if (head == old.size() && head == next.size()) continue;
+    size_t old_end = old.size();
+    size_t next_end = next.size();
+    while (old_end > head && next_end > head &&
+           same_step(old[old_end - 1], next[next_end - 1])) {
+      --old_end;
+      --next_end;
+    }
+    removed.insert(removed.end(), old.begin() + head, old.begin() + old_end);
+    added.insert(added.end(), next.begin() + head, next.begin() + next_end);
+    changed.emplace_back(&state, std::move(next));
+  }
+  std::sort(removed.begin(), removed.end());
+  std::sort(added.begin(), added.end());
+  // The removed steps are in the tail; were they its first ones?
+  change->removed_head = true;
+  auto head = tail_.begin();
+  for (const KeptStep& step : removed) {
+    if (TailBefore()(head->first, step.key)) change->removed_head = false;
+    ++head;
+  }
+  // Forward steps are keyed by their index in the completion, which can
+  // shift: a changed process's steps are all re-keyed.
+  for (auto& [state, next] : changed) {
+    for (const KeptStep& step : state->kept) tail_.erase(step.key);
+    for (const KeptStep& step : next) tail_.emplace(step.key, step.step);
+    state->kept = std::move(next);
+  }
+  change->removed.clear();
+  for (const KeptStep& step : removed) change->removed.push_back(step.step);
+  change->added.clear();
+  for (const KeptStep& step : added) change->added.push_back(step.step);
+  return Status::OK();
+}
+
+std::vector<TailStep> CompletionBuilder::Tail() const {
+  std::vector<TailStep> tail;
+  tail.reserve(tail_.size());
+  for (const auto& [key, step] : tail_) tail.push_back(step);
+  return tail;
 }
 
 Result<ProcessSchedule> CompletionBuilder::Finish() && {

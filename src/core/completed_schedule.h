@@ -1,6 +1,7 @@
 #ifndef TPM_CORE_COMPLETED_SCHEDULE_H_
 #define TPM_CORE_COMPLETED_SCHEDULE_H_
 
+#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -52,15 +53,29 @@ struct TailStep {
 /// Builds S̃ one event of S at a time. Def. 8 3(e)/(f) expand every abort
 /// in place from the events before it, so the expanded prefix only grows:
 /// after the first n events of S, S̃ of that prefix is `expanded()`
-/// followed by the group-abort tail of the processes still active
-/// (`ActiveTail()`). CompleteSchedule is `Add` over every event plus
-/// `Finish`; the one-pass PRED check reads the tail after every event.
+/// followed by the group-abort tail of the processes still active.
+/// CompleteSchedule is `Add` over every event plus `Finish`; the one-pass
+/// PRED check also keeps the tail (`SyncTail`, `Tail`) after every event.
 ///
 /// The commit position of each original activity is maintained as events
-/// arrive, and each active process's completion is cached until that
-/// process gets its next event.
+/// arrive. The kept tail changes only where an event touched it: the
+/// completion of a process is recomputed when that process gets an event,
+/// and its steps leave the tail when it terminates.
 class CompletionBuilder {
  public:
+  /// Which completion steps the kept tail holds, by the step's service.
+  using TailFilter = std::function<bool(ServiceId)>;
+
+  /// How one `SyncTail` changed the kept tail. `removed` (in the old tail's
+  /// order) and `added` (in the new one's) are what is left of each touched
+  /// process's steps once the steps it kept at either end are trimmed.
+  struct TailChange {
+    std::vector<TailStep> removed;
+    /// `removed` were the old tail's first steps.
+    bool removed_head = true;
+    std::vector<TailStep> added;
+  };
+
   /// Registers the processes of `schedule` (not its events).
   explicit CompletionBuilder(const ProcessSchedule& schedule);
 
@@ -75,15 +90,48 @@ class CompletionBuilder {
   /// Processes without a terminal event, ascending.
   const std::set<ProcessId>& active() const { return active_; }
 
-  /// The completion steps of every active process, merged in the order
-  /// `Finish` would append them (Lemma 2 backward order, then forward
-  /// steps). Fails where appending them to `expanded()` would.
-  Result<std::vector<TailStep>> ActiveTail();
+  /// Brings the kept tail up to date with `event`, the event just passed
+  /// to `Add` (the tail is S̃'s only if every `Add` was followed by this
+  /// call, with the same `in_tail`): recomputes the completion of each
+  /// process the event touched and left active, and drops the steps of
+  /// each process it terminated. The tail keeps the steps whose service
+  /// `in_tail` accepts. Fails where appending a recomputed completion to
+  /// `expanded()` would.
+  Status SyncTail(const ScheduleEvent& event, const TailFilter& in_tail,
+                  TailChange* change);
+
+  /// The kept tail, in the order `Finish` would append it (`TailBefore`).
+  std::vector<TailStep> Tail() const;
 
   /// Appends the group-abort tail (Def. 8 2b) and returns S̃.
   Result<ProcessSchedule> Finish() &&;
 
  private:
+  /// Where a step sits in a merged group-abort tail.
+  struct TailKey {
+    bool forward = false;
+    /// Backward steps: the position of the original in `expanded_`.
+    size_t position = 0;
+    /// Orders the forward steps of different processes, which Def. 8 3(d)
+    /// leaves free: the process's place in the aborted group. The kept
+    /// tail uses the pid, the order of `Finish`'s group of active pids.
+    int64_t rank = 0;
+    /// The step's index in its process's completion.
+    size_t index = 0;
+  };
+  /// The merge order: every backward step before every forward step
+  /// (Lemma 3); backward steps by descending position of their original
+  /// (Lemma 2); forward steps by rank, then by completion order (3b).
+  struct TailBefore {
+    bool operator()(const TailKey& a, const TailKey& b) const;
+  };
+  struct KeptStep {
+    TailKey key;
+    TailStep step;
+    bool operator<(const KeptStep& other) const {
+      return TailBefore()(key, other.key);
+    }
+  };
   struct ProcState {
     /// Bumped whenever an event changes the process's execution state.
     uint64_t version = 0;
@@ -96,14 +144,19 @@ class CompletionBuilder {
     Completion completion;
     std::vector<ServiceId> services;
     std::vector<size_t> positions;
+    /// Its steps in the kept tail, in tail order.
+    std::vector<KeptStep> kept;
   };
   using Members = std::vector<std::pair<ProcessId, ProcState*>>;
 
   // Refreshes the cached completion of `pid` if the process changed since.
   Status Refresh(ProcessId pid, ProcState* state);
-  // Merges the completions of `members` (Lemma 2: backward steps in
-  // reverse order of their originals' positions; Lemma 3: then forward
-  // steps in `members` order).
+  // The steps of `pid`'s refreshed completion whose service `keep`
+  // accepts, keyed with `rank` and in tail order.
+  std::vector<KeptStep> Keyed(ProcessId pid, int64_t rank,
+                              const ProcState& state,
+                              const TailFilter& keep) const;
+  // Merges the completions of `members`, ranked in `members` order.
   Result<std::vector<TailStep>> Merge(const Members& members);
   Status ExpandAbort(const std::vector<ProcessId>& pids);
   Status AppendExpanded(const ScheduleEvent& event, bool enforce_legal);
@@ -111,12 +164,10 @@ class CompletionBuilder {
   ProcessSchedule expanded_;
   std::set<ProcessId> active_;
   std::map<ProcessId, ProcState> procs_;
-  /// The active processes that changed their execution state at least
-  /// once; the others have empty completions.
-  std::map<ProcessId, ProcState*> started_;
   /// Position in `expanded_` of the latest commit of each original
   /// activity.
   std::map<ActivityInstance, size_t> commit_pos_;
+  std::map<TailKey, TailStep, TailBefore> tail_;
 };
 
 }  // namespace tpm

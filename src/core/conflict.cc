@@ -81,12 +81,9 @@ void ConflictSpec::RebuildEffectivePartners() const {
   effective_partners_.resize(services_.size());
   for (size_t i = 0; i < services_.size(); ++i) {
     effective_partners_[i].clear();
-    for (ServiceId partner : partners_[i]) {
-      int ip = IndexOf(partner);
-      if (EffectiveConflict(static_cast<int>(i), ip)) {
-        effective_partners_[i].push_back(partner);
-      }
-    }
+    ForEachPartner(services_[i], [&](ServiceId partner) {
+      effective_partners_[i].push_back(partner);
+    });
   }
   effective_dirty_ = false;
 }

@@ -88,6 +88,18 @@ class ConflictSpec {
   /// declared conflicts.
   const std::vector<ServiceId>& PartnersOf(ServiceId service) const;
 
+  /// Calls `fn(partner)` for every service effectively conflicting with
+  /// `service`, as PartnersOf lists them. Reads only the declared partner
+  /// list and touches no cache, so concurrent readers need no lock.
+  template <typename Fn>
+  void ForEachPartner(ServiceId service, Fn&& fn) const {
+    const int index = IndexOf(service);
+    if (index < 0) return;
+    for (ServiceId partner : partners_[index]) {
+      if (EffectiveConflict(index, IndexOf(partner))) fn(partner);
+    }
+  }
+
   /// Number of declared service-level conflicting (unordered) pairs —
   /// before op-table downgrades.
   size_t num_conflict_pairs() const { return num_pairs_; }

@@ -2,6 +2,8 @@
 
 #include <memory>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "common/str_util.h"
 #include "core/completed_schedule.h"
@@ -32,12 +34,73 @@ struct ExpandedToken {
   bool effect_free = false;
 };
 
+// The conflict footprint: the services the schedule's definitions declare
+// (S̃'s forward recovery steps included, though S never ran them), mapped
+// to whether each is effect-free, for those that conflict with one of
+// them (self-conflict included). A token on any other service commutes
+// with every token of S̃ (rule 1), so it cannot change reducibility.
+std::unordered_map<ServiceId, bool> RelevantServices(
+    const ProcessSchedule& schedule, const ConflictSpec& spec) {
+  std::unordered_set<const ProcessDef*> defs;
+  std::unordered_set<ServiceId> footprint;
+  for (const auto& [pid, def] : schedule.processes()) {
+    if (!defs.insert(def).second) continue;
+    for (const ActivityDecl& decl : def->activities()) {
+      footprint.insert(decl.service);
+    }
+  }
+  std::unordered_map<ServiceId, bool> relevant;
+  for (ServiceId service : footprint) {
+    bool conflicts = false;
+    spec.ForEachPartner(service, [&](ServiceId partner) {
+      conflicts = conflicts || footprint.count(partner) > 0;
+    });
+    if (conflicts) relevant.emplace(service, spec.IsEffectFreeService(service));
+  }
+  return relevant;
+}
+
+// Whether S̃'s relevant token sequence is the one of the previous prefix,
+// given the tokens the event appended to the expanded prefix and how it
+// changed the tail (DESIGN.md §4l). The caller has ruled out a rule-3 flip.
+bool SameSequence(const std::vector<ActivityInstance>& appended,
+                  const CompletionBuilder::TailChange& change) {
+  if (change.added.empty()) {
+    // (a) The appended tokens are the steps that left the tail, and they
+    // were its head; (c) with nothing appended and nothing removed.
+    if (!change.removed_head || appended.size() != change.removed.size()) {
+      return false;
+    }
+    for (size_t i = 0; i < appended.size(); ++i) {
+      if (!(appended[i] == change.removed[i].act)) return false;
+    }
+    return true;
+  }
+  // (b) An original t whose inverse joins an otherwise unchanged tail.
+  // t's commit is the newest, so Lemma 2 puts t^-1 at the tail's head:
+  // t t^-1 are adjacent and cancel (rule 2).
+  return appended.size() == 1 && !appended[0].inverse &&
+         change.removed.empty() && change.added.size() == 1 &&
+         change.added[0].act == ActivityInstance{appended[0].process,
+                                                 appended[0].activity, true};
+}
+
 }  // namespace
 
 Result<PredOutcome> AnalyzePRED(const ProcessSchedule& schedule,
                                 const ConflictSpec& spec) {
   PredOutcome outcome;
+  const std::unordered_map<ServiceId, bool> relevant =
+      RelevantServices(schedule, spec);
+  // The tail's processes are active, hence not committed: rule 3 drops
+  // its effect-free steps.
+  const CompletionBuilder::TailFilter in_tail = [&relevant](ServiceId s) {
+    auto it = relevant.find(s);
+    return it != relevant.end() && !it->second;
+  };
   CompletionBuilder builder(schedule);
+  CompletionBuilder::TailChange change;
+
   // Rule 3 reads the committed set of the prefix of S itself (not of S̃).
   std::set<ProcessId> committed;
   std::set<ProcessId> has_effect_free;
@@ -54,6 +117,7 @@ Result<PredOutcome> AnalyzePRED(const ProcessSchedule& schedule,
     return index;
   };
   std::unique_ptr<ReductionIndex> index = make_index();
+  std::vector<ActivityInstance> appended;
 
   const std::vector<ScheduleEvent>& events = schedule.events();
   for (size_t n = 1; n <= events.size(); ++n) {
@@ -90,13 +154,17 @@ Result<PredOutcome> AnalyzePRED(const ProcessSchedule& schedule,
     }
 
     const ProcessSchedule& expanded = builder.expanded();
+    appended.clear();
     for (size_t i = before; i < expanded.size(); ++i) {
       const ScheduleEvent& e = expanded.events()[i];
       if (e.type != EventType::kActivity || e.aborted_invocation) continue;
       ExpandedToken token{e.act, expanded.ServiceOf(e.act), false};
-      token.effect_free = spec.IsEffectFreeService(token.service);
+      auto it = relevant.find(token.service);
+      if (it == relevant.end()) continue;
+      token.effect_free = it->second;
       if (token.effect_free) has_effect_free.insert(e.act.process);
       expanded_tokens.push_back(token);
+      if (present(token)) appended.push_back(token.act);
       if (!rebuild) index->Append(token.act, token.service, present(token));
     }
     if (rebuild) {
@@ -106,8 +174,13 @@ Result<PredOutcome> AnalyzePRED(const ProcessSchedule& schedule,
       }
     }
 
-    TPM_ASSIGN_OR_RETURN(std::vector<TailStep> tail, builder.ActiveTail());
-    switch (index->ReducesWithTail(tail, &outcome.cycle)) {
+    TPM_RETURN_IF_ERROR(builder.SyncTail(event, in_tail, &change));
+    // The previous prefix reduced; so does this one if S̃ is the same.
+    if (!rebuild && !index->irregular() && SameSequence(appended, change)) {
+      continue;
+    }
+    ++outcome.tail_trials;
+    switch (index->ReducesWithTail(builder.Tail(), &outcome.cycle)) {
       case ReductionIndex::Verdict::kReducible:
         break;
       case ReductionIndex::Verdict::kIrreducible:

@@ -18,6 +18,9 @@ struct PredOutcome {
   size_t violating_prefix = 0;
   /// When not PRED: the irreducible process cycle of that prefix.
   std::vector<ProcessId> cycle;
+  /// AnalyzePRED only: how many prefixes it reduced with their tail. The
+  /// others S̃ did not change for (DESIGN.md §4l).
+  size_t tail_trials = 0;
 
   std::string ToString() const;
 };
@@ -29,9 +32,12 @@ struct PredOutcome {
 ///
 /// One pass over the schedule (DESIGN.md §4l): the expanded prefix of S̃
 /// only grows from one prefix to the next, so it is reduced incrementally
-/// (CompletionBuilder feeding a ReductionIndex), and each prefix rebuilds
-/// only its tail — the merged completions of the processes still active.
-/// Reaches the same decision as AnalyzePREDReference on every input.
+/// (CompletionBuilder feeding a ReductionIndex), and the tail — the merged
+/// completions of the processes still active — changes only where an
+/// event touched it. Only tokens on services that conflict with a service
+/// of the schedule's definitions are indexed, and a prefix is reduced
+/// with its tail only when that token sequence of S̃ changed. Reaches the
+/// same decision as AnalyzePREDReference on every input.
 Result<PredOutcome> AnalyzePRED(const ProcessSchedule& schedule,
                                 const ConflictSpec& spec);
 

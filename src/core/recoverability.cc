@@ -1,5 +1,6 @@
 #include "core/recoverability.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <vector>
 
@@ -59,25 +60,36 @@ ProcRecOutcome AnalyzeProcessRecoverability(const ProcessSchedule& schedule,
       upcoming[proc_of[i]] = i;
     }
   }
-  // The conflict relation over the services that occur, as a flat table.
+  // Per service that occurs: its events in order, and the services that
+  // occur and conflict with it.
   const size_t num_services = services.size();
-  std::vector<char> conflicts(num_services * num_services, 0);
+  std::vector<std::vector<size_t>> events_of(num_services);
+  for (size_t i = 0; i < n; ++i) {
+    if (service[i] >= 0) events_of[service[i]].push_back(i);
+  }
+  std::vector<std::vector<int>> partners(num_services);
   for (size_t a = 0; a < num_services; ++a) {
-    for (size_t b = a; b < num_services; ++b) {
-      const char c = spec.ServicesConflict(services[a], services[b]) ? 1 : 0;
-      conflicts[a * num_services + b] = c;
-      conflicts[b * num_services + a] = c;
-    }
+    spec.ForEachPartner(services[a], [&](ServiceId partner) {
+      auto it = service_index.find(partner);
+      if (it != service_index.end()) partners[a].push_back(it->second);
+    });
   }
 
+  // Each event meets only the later events on conflicting services, in
+  // schedule order.
+  std::vector<size_t> later;
   for (size_t i = 0; i < n; ++i) {
     if (service[i] < 0) continue;
-    const char* row =
-        &conflicts[static_cast<size_t>(service[i]) * num_services];
-    for (size_t j = i + 1; j < n; ++j) {
-      if (service[j] < 0 || proc_of[j] == proc_of[i] || !row[service[j]]) {
-        continue;
+    later.clear();
+    for (int partner : partners[service[i]]) {
+      const std::vector<size_t>& list = events_of[partner];
+      for (auto it = std::upper_bound(list.begin(), list.end(), i);
+           it != list.end(); ++it) {
+        if (proc_of[*it] != proc_of[i]) later.push_back(*it);
       }
+    }
+    std::sort(later.begin(), later.end());
+    for (size_t j : later) {
       // Clause 1: C_i <<_S C_j.
       const size_t ci = commit_pos[proc_of[i]];
       const size_t cj = commit_pos[proc_of[j]];

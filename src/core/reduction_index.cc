@@ -37,6 +37,7 @@ int ReductionIndex::LocalService(ServiceId service) {
   effect_free_.push_back(spec_->IsEffectFreeService(service));
   conflict_rows_.emplace_back();
   service_tokens_.emplace_back();
+  open_.emplace_back();
   service_scratch_.emplace_back();
   auto set_bit = [this](int a, int b) {
     auto& row = conflict_rows_[a];
@@ -116,13 +117,14 @@ void ReductionIndex::Append(const ActivityInstance& act, ServiceId service,
   proc_tokens_[token.proc].push_back(t);
   blocks_.emplace_back();
   conflicts_after_.push_back(0);
+  open_slot_.push_back(-1);
   if (!present) return;
 
   if (track_graph_) {
     AdjustSupports(t, +1);
     // Only the latest token of an activity can pair with a tail inverse.
-    if (prev_last >= 0) std::erase(open_, prev_last);
-    if (!act.inverse && active_[token.proc]) open_.push_back(t);
+    if (prev_last >= 0) Close(prev_last);
+    if (!act.inverse && active_[token.proc]) Open(t);
   }
   if (act.inverse) {
     const int prev = PrevSurvivor(t);
@@ -136,7 +138,23 @@ void ReductionIndex::Terminate(ProcessId pid) {
   if (it == vertex_of_.end()) return;
   const int v = it->second;
   active_[v] = false;
-  std::erase_if(open_, [&](int t) { return tokens_[t].proc == v; });
+  for (int t : proc_tokens_[v]) Close(t);
+}
+
+void ReductionIndex::Open(int t) {
+  std::vector<int>& list = open_[tokens_[t].service];
+  open_slot_[t] = static_cast<int>(list.size());
+  list.push_back(t);
+}
+
+void ReductionIndex::Close(int t) {
+  const int slot = open_slot_[t];
+  if (slot < 0) return;
+  std::vector<int>& list = open_[tokens_[t].service];
+  list[slot] = list.back();
+  open_slot_[list[slot]] = slot;
+  list.pop_back();
+  open_slot_[t] = -1;
 }
 
 void ReductionIndex::MaybePair(int orig, int inv) {
@@ -144,10 +162,16 @@ void ReductionIndex::MaybePair(int orig, int inv) {
   Pair pair;
   pair.orig = orig;
   pair.inv = inv;
-  for (int k = orig + 1; k < inv; ++k) {
-    if (tokens_[k].survives() && Conflict(tokens_[orig], tokens_[k])) {
-      ++pair.blockers;
-      blocks_[k].push_back(id);
+  // The blockers: surviving tokens strictly between the two, on services
+  // that conflict with the original's.
+  for (int partner : partners_[tokens_[orig].service]) {
+    const std::vector<int>& list = service_tokens_[partner];
+    for (auto it = std::upper_bound(list.begin(), list.end(), orig);
+         it != list.end() && *it < inv; ++it) {
+      if (tokens_[*it].survives() && Conflict(tokens_[orig], tokens_[*it])) {
+        ++pair.blockers;
+        blocks_[*it].push_back(id);
+      }
     }
   }
   pairs_.push_back(pair);
@@ -222,8 +246,10 @@ void ReductionIndex::AdjustSupports(int t, int delta) {
       }
     }
   }
-  for (int o : open_) {
-    if (o < t && Conflict(tokens_[o], token)) conflicts_after_[o] += delta;
+  for (int partner : partners_[token.service]) {
+    for (int o : open_[partner]) {
+      if (o < t && tokens_[o].proc != token.proc) conflicts_after_[o] += delta;
+    }
   }
 }
 

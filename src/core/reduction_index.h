@@ -65,6 +65,10 @@ class ReductionIndex {
   /// Marks `pid` terminated: the tail never compensates its activities.
   void Terminate(ProcessId pid);
 
+  /// Some activity's tokens do not alternate original, inverse, ...: every
+  /// later trial answers kIrregular.
+  bool irregular() const { return irregular_; }
+
   /// Surviving tokens, in order.
   std::vector<ActivityInstance> Residual() const;
 
@@ -75,7 +79,7 @@ class ReductionIndex {
   Dag BuildGraph() const;
 
   /// Requires `track_graph`. Decides whether the tokens followed by `tail`
-  /// (CompletionBuilder::ActiveTail) reduce to a serial schedule. The
+  /// (CompletionBuilder::Tail) reduce to a serial schedule. The
   /// tail's processes are active, hence not committed: rule 3 drops its
   /// effect-free steps.
   /// Pairs between the tail's inverses and the latest originals before
@@ -147,6 +151,8 @@ class ReductionIndex {
   void Drain();
   void AddSupport(int from, int to, int delta);
   void AdjustSupports(int t, int delta);
+  void Open(int t);
+  void Close(int t);
 
   // Iterative DFS from `roots` over `neighbors(vertex, &out)`. Returns true
   // and fills `cycle` (vertices, first == last) on a back edge.
@@ -188,10 +194,12 @@ class ReductionIndex {
   std::vector<std::vector<std::pair<int, int>>> out_;
   std::vector<std::pair<int, int>> new_edges_;
   GraphState graph_state_ = GraphState::kAcyclic;
-  /// Latest-of-their-activity originals of active processes, and for each
-  /// token the number of surviving conflicting tokens after it (kept for
-  /// the tokens in `open_`).
-  std::vector<int> open_;
+  /// Latest-of-their-activity originals of active processes, per service,
+  /// with each token's slot in its list (-1: not open), and for each token
+  /// the number of surviving conflicting tokens after it (kept for the
+  /// open tokens).
+  std::vector<std::vector<int>> open_;
+  std::vector<int> open_slot_;
   std::vector<int> conflicts_after_;
 
   std::vector<VertexScratch> vertex_scratch_;

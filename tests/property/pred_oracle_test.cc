@@ -4,11 +4,15 @@
 // be a real cycle of the violating prefix's residual. Inputs: random
 // schedules with aborts, early stops, effect-free services and ◁
 // alternatives; recovered sharded-runtime histories with spanning
-// processes (per shard and the merged global projection); fault-domain
+// processes (per shard and the merged global projection); crash cuts with
+// everything submitted at once, so most processes are active at the cut,
+// in a conflict-free escrow world and in the order world; fault-domain
 // runs under the unsafe protocol, which yield non-PRED histories; and
-// named regressions. The sweep also checks that the one-sweep Proc-REC
-// analysis reports the same violations as the pairwise suffix rescan it
-// replaced.
+// named regressions, among them one per case in which the one pass
+// carries a prefix's verdict to the next. On recovered histories the
+// one pass must run at most one tail trial per prefix whose S̃ changed.
+// The sweep also checks that the per-service Proc-REC analysis reports the
+// same violations as the pairwise suffix rescan it replaced.
 //
 // Knob: TPM_PRED_ORACLE_SEED_BASE (default 1) shifts every random seed; a
 // failure prints the seed that reproduces it.
@@ -17,18 +21,24 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <map>
+#include <memory>
 #include <ostream>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/str_util.h"
+#include "core/completed_schedule.h"
 #include "core/pred.h"
 #include "core/recoverability.h"
 #include "core/reduction.h"
 #include "core/scheduler.h"
 #include "runtime/cross_shard_agent.h"
 #include "runtime/sharded_runtime.h"
+#include "subsystem/escrow_subsystem.h"
 #include "testing/fault_injector.h"
 #include "workload/fault_workload.h"
 #include "workload/schedule_generator.h"
@@ -150,6 +160,60 @@ void ExpectSameProcRec(const ProcessSchedule& schedule,
     EXPECT_EQ(actual.violations[v].ToString(), expected[v].ToString())
         << label;
   }
+}
+
+// The number of prefixes of `schedule` whose S̃, restricted to the tokens
+// that can change reducibility, differs from the previous prefix's. Built
+// from scratch per prefix: the services of the definitions that conflict
+// with one of them, without aborted invocations, and without effect-free
+// tokens of processes not committed in the prefix of S (rule 3).
+size_t PrefixesThatChangeCompletion(const ProcessSchedule& schedule,
+                                    const ConflictSpec& spec) {
+  std::set<ServiceId> footprint;
+  for (const auto& [pid, def] : schedule.processes()) {
+    for (const ActivityDecl& decl : def->activities()) {
+      footprint.insert(decl.service);
+    }
+  }
+  std::set<ServiceId> relevant;
+  for (ServiceId a : footprint) {
+    for (ServiceId b : footprint) {
+      if (spec.ServicesConflict(a, b)) relevant.insert(a);
+    }
+  }
+  size_t changed = 0;
+  std::vector<ActivityInstance> previous;
+  for (size_t n = 1; n <= schedule.size(); ++n) {
+    const ProcessSchedule prefix = schedule.Prefix(n);
+    auto completed = CompleteSchedule(prefix);
+    if (!completed.ok()) return SIZE_MAX;
+    std::vector<ActivityInstance> tokens;
+    for (const ScheduleEvent& e : completed->events()) {
+      if (e.type != EventType::kActivity || e.aborted_invocation) continue;
+      const ServiceId service = completed->ServiceOf(e.act);
+      if (relevant.count(service) == 0) continue;
+      if (spec.IsEffectFreeService(service) &&
+          !prefix.IsProcessCommitted(e.act.process)) {
+        continue;
+      }
+      tokens.push_back(e.act);
+    }
+    if (tokens != previous) ++changed;
+    previous = std::move(tokens);
+  }
+  return changed;
+}
+
+// Agreement with the reference, plus the bound on tail trials: one at
+// most per prefix whose relevant S̃ changed.
+void ExpectAgreementAndTrialBound(const ProcessSchedule& schedule,
+                                  const ConflictSpec& spec,
+                                  const std::string& label) {
+  EXPECT_EQ(ExpectAgreement(schedule, spec, label), 0);
+  auto fast = AnalyzePRED(schedule, spec);
+  ASSERT_TRUE(fast.ok()) << label << ": " << fast.status();
+  EXPECT_LE(fast->tail_trials, PrefixesThatChangeCompletion(schedule, spec))
+      << label;
 }
 
 struct SweepParams {
@@ -425,6 +489,431 @@ TEST(PredOracleRealHistories, UnsafeFaultDomainHistories) {
   }
   EXPECT_GT(not_pred, 0);
 }
+
+// --- The carry cases (DESIGN.md §4l) ---
+
+// tail_trials of every prefix: an event is carried when the count does not
+// grow over it.
+std::vector<size_t> TrialsPerPrefix(const ProcessSchedule& schedule,
+                                    const ConflictSpec& spec) {
+  std::vector<size_t> trials;
+  for (size_t n = 0; n <= schedule.size(); ++n) {
+    auto outcome = AnalyzePRED(schedule.Prefix(n), spec);
+    trials.push_back(outcome.ok() ? outcome->tail_trials : SIZE_MAX);
+  }
+  return trials;
+}
+
+// P runs two compensatable steps on a self-conflicting service that Q's
+// pivot made relevant.
+struct TwoStepWorld {
+  ProcessDef p{"P"};
+  ProcessDef q{"Q"};
+  ActivityId a, b, qq;
+  ConflictSpec spec;
+  ProcessSchedule schedule;
+  const ProcessId kP{1}, kQ{2};
+
+  TwoStepWorld() {
+    const ServiceId s1(1);
+    a = p.AddActivity("a", ActivityKind::kCompensatable, s1, ServiceId(11));
+    b = p.AddActivity("b", ActivityKind::kCompensatable, s1, ServiceId(12));
+    ActivityId pp = p.AddActivity("pp", ActivityKind::kPivot, ServiceId(3));
+    EXPECT_TRUE(p.AddEdge(a, b).ok());
+    EXPECT_TRUE(p.AddEdge(b, pp).ok());
+    qq = q.AddActivity("q", ActivityKind::kPivot, s1);
+    EXPECT_TRUE(p.Validate().ok());
+    EXPECT_TRUE(q.Validate().ok());
+    spec.AddConflict(s1, s1);
+    EXPECT_TRUE(schedule.AddProcess(kP, &p).ok());
+    EXPECT_TRUE(schedule.AddProcess(kQ, &q).ok());
+  }
+  void Run(std::initializer_list<ScheduleEvent> events) {
+    for (const ScheduleEvent& e : events) {
+      ASSERT_TRUE(schedule.Append(e).ok()) << e.ToString();
+    }
+  }
+};
+
+// (a) The event's expansion is the tail's head: recovery compensations run
+// in S in Lemma 2 order, and an abort whose completion heads the tail.
+TEST(PredOracleRegression, CarriesExpansionThatIsTheTailHead) {
+  for (bool abort_early : {false, true}) {
+    SCOPED_TRACE(abort_early ? "abort expands both inverses" : "b^-1, a^-1");
+    TwoStepWorld w;
+    if (abort_early) {
+      w.Run({ScheduleEvent::Activity({w.kQ, w.qq, false}),
+             ScheduleEvent::Commit(w.kQ),
+             ScheduleEvent::Activity({w.kP, w.a, false}),
+             ScheduleEvent::Activity({w.kP, w.b, false}),
+             ScheduleEvent::Abort(w.kP)});
+    } else {
+      w.Run({ScheduleEvent::Activity({w.kQ, w.qq, false}),
+             ScheduleEvent::Commit(w.kQ),
+             ScheduleEvent::Activity({w.kP, w.a, false}),
+             ScheduleEvent::Activity({w.kP, w.b, false}),
+             ScheduleEvent::Activity({w.kP, w.b, true}),
+             ScheduleEvent::Activity({w.kP, w.a, true}),
+             ScheduleEvent::Abort(w.kP)});
+    }
+    EXPECT_EQ(ExpectAgreement(w.schedule, w.spec, "carry (a)"), 0);
+    const std::vector<size_t> trials = TrialsPerPrefix(w.schedule, w.spec);
+    // Q's pivot is the only event that changes S̃'s relevant tokens.
+    EXPECT_EQ(trials.back(), 1u);
+    for (size_t n = 5; n < trials.size(); ++n) {
+      EXPECT_EQ(trials[n], trials[n - 1]) << "event " << n;
+    }
+  }
+}
+
+// (b) An original whose inverse becomes the tail's new head: t t^-1 are
+// adjacent in S̃ and cancel.
+TEST(PredOracleRegression, CarriesOriginalWhoseInverseHeadsTheTail) {
+  TwoStepWorld w;
+  w.Run({ScheduleEvent::Activity({w.kQ, w.qq, false}),
+         ScheduleEvent::Commit(w.kQ),
+         ScheduleEvent::Activity({w.kP, w.a, false}),
+         ScheduleEvent::Activity({w.kP, w.b, false})});
+  EXPECT_EQ(ExpectAgreement(w.schedule, w.spec, "carry (b)"), 0);
+  const std::vector<size_t> trials = TrialsPerPrefix(w.schedule, w.spec);
+  EXPECT_EQ(trials, (std::vector<size_t>{0, 1, 1, 1, 1}));
+}
+
+// (c) A termination that changes no tail step: Q's commit after its only
+// step, and R's commit after a step on a service nothing conflicts with.
+TEST(PredOracleRegression, CarriesTerminationThatChangesNoTailStep) {
+  TwoStepWorld w;
+  ProcessDef r("R");
+  ActivityId rr = r.AddActivity("r", ActivityKind::kCompensatable,
+                                ServiceId(5), ServiceId(15));
+  ASSERT_TRUE(r.Validate().ok());
+  const ProcessId kR(3);
+  ASSERT_TRUE(w.schedule.AddProcess(kR, &r).ok());
+  w.Run({ScheduleEvent::Activity({w.kP, w.a, false}),
+         ScheduleEvent::Activity({kR, rr, false}),
+         ScheduleEvent::Commit(kR),
+         ScheduleEvent::Activity({w.kP, w.b, false}),
+         ScheduleEvent::Activity({w.kP, w.b, true}),
+         ScheduleEvent::Activity({w.kP, w.a, true}),
+         ScheduleEvent::Abort(w.kP),
+         ScheduleEvent::Activity({w.kQ, w.qq, false}),
+         ScheduleEvent::Commit(w.kQ)});
+  EXPECT_EQ(ExpectAgreement(w.schedule, w.spec, "carry (c)"), 0);
+  const std::vector<size_t> trials = TrialsPerPrefix(w.schedule, w.spec);
+  EXPECT_EQ(trials, (std::vector<size_t>{0, 0, 0, 0, 0, 0, 0, 0, 1, 1}));
+}
+
+// A carried prefix followed at once by an irreducible one: P's a is
+// carried (case b), then Q's pivot lands between a and the tail's a^-1.
+TEST(PredOracleRegression, IrreduciblePrefixRightAfterACarriedEvent) {
+  TwoStepWorld w;
+  w.Run({ScheduleEvent::Activity({w.kP, w.a, false}),
+         ScheduleEvent::Activity({w.kQ, w.qq, false})});
+  EXPECT_EQ(ExpectAgreement(w.schedule, w.spec, "carried then cyclic"), 1);
+  auto fast = AnalyzePRED(w.schedule, w.spec);
+  ASSERT_TRUE(fast.ok());
+  EXPECT_EQ(fast->violating_prefix, 2u);
+  EXPECT_EQ(fast->tail_trials, 1u);
+}
+
+// Rule 3 flips at a commit: Q's effect-free x is invisible while Q runs,
+// so P's u and its tail inverse cancel; Q's commit brings x back between
+// them. The commit changes no tail step and appends nothing, yet S̃'s
+// relevant tokens changed, so it must be tried. With x on a service that
+// conflicts with nothing, the same commit is carried.
+TEST(PredOracleRegression, RuleThreeFlipOnRelevantEffectFreeToken) {
+  for (bool relevant : {true, false}) {
+    SCOPED_TRACE(relevant ? "x conflicts with u" : "x conflicts with nothing");
+    ProcessDef p("P"), q("Q");
+    const ServiceId su(1), sx(2);
+    ActivityId u = p.AddActivity("u", ActivityKind::kCompensatable, su,
+                                 ServiceId(11));
+    ActivityId pp = p.AddActivity("pp", ActivityKind::kPivot, ServiceId(4));
+    ASSERT_TRUE(p.AddEdge(u, pp).ok());
+    ActivityId x = q.AddActivity("x", ActivityKind::kCompensatable, sx,
+                                 ServiceId(12));
+    ASSERT_TRUE(p.Validate().ok());
+    ASSERT_TRUE(q.Validate().ok());
+    ConflictSpec spec;
+    spec.AddConflict(su, su);
+    if (relevant) spec.AddConflict(su, sx);
+    spec.MarkEffectFree(sx);
+    const ProcessId kP(1), kQ(2);
+    ProcessSchedule s;
+    ASSERT_TRUE(s.AddProcess(kP, &p).ok());
+    ASSERT_TRUE(s.AddProcess(kQ, &q).ok());
+    for (const ScheduleEvent& e : {ScheduleEvent::Activity({kP, u, false}),
+                                   ScheduleEvent::Activity({kQ, x, false}),
+                                   ScheduleEvent::Commit(kQ)}) {
+      ASSERT_TRUE(s.Append(e).ok()) << e.ToString();
+    }
+    EXPECT_EQ(ExpectAgreement(s, spec, "rule-3 flip"), relevant ? 1 : 0);
+    const std::vector<size_t> trials = TrialsPerPrefix(s, spec);
+    EXPECT_EQ(trials[3], trials[2] + (relevant ? 1 : 0));
+  }
+}
+
+// An activity whose tokens do not alternate (two originals in a row, only
+// constructible with legality checks off) on a service nothing conflicts
+// with: it never reaches the index, so the one pass decides the schedule
+// itself instead of handing it to the reference.
+TEST(PredOracleRegression, IrregularButConflictFreeActivity) {
+  TwoStepWorld w;
+  ProcessDef r("R");
+  ActivityId rr = r.AddActivity("r", ActivityKind::kCompensatable,
+                                ServiceId(5), ServiceId(15));
+  ActivityId rp = r.AddActivity("rp", ActivityKind::kPivot, ServiceId(6));
+  ASSERT_TRUE(r.AddEdge(rr, rp).ok());
+  ASSERT_TRUE(r.Validate().ok());
+  const ProcessId kR(3);
+  ASSERT_TRUE(w.schedule.AddProcess(kR, &r).ok());
+  for (const ScheduleEvent& e : {ScheduleEvent::Activity({w.kQ, w.qq, false}),
+                                 ScheduleEvent::Activity({kR, rr, false}),
+                                 ScheduleEvent::Activity({kR, rr, false}),
+                                 ScheduleEvent::Activity({w.kP, w.a, false}),
+                                 ScheduleEvent::Commit(w.kQ)}) {
+    ASSERT_TRUE(w.schedule.Append(e, /*enforce_legal=*/false).ok())
+        << e.ToString();
+  }
+  EXPECT_EQ(ExpectAgreement(w.schedule, w.spec, "irregular, conflict-free"),
+            0);
+  auto fast = AnalyzePRED(w.schedule, w.spec);
+  ASSERT_TRUE(fast.ok()) << fast.status();
+  EXPECT_GT(fast->tail_trials, 0u);
+}
+
+// 1,000 events, 200 processes all still active, and conflicts declared
+// only outside the definitions' services: no prefix needs a tail trial.
+TEST(PredOracleRegression, ConflictFreeHighActiveHistoryRunsNoTrial) {
+  constexpr int kProcesses = 200;
+  constexpr int kSteps = 5;
+  ProcessDef def("chain");
+  std::vector<ActivityId> steps;
+  for (int k = 0; k < kSteps; ++k) {
+    steps.push_back(def.AddActivity(StrCat("c", k),
+                                    ActivityKind::kCompensatable,
+                                    ServiceId(1 + k), ServiceId(101 + k)));
+    if (k > 0) {
+      ASSERT_TRUE(def.AddEdge(steps[k - 1], steps[k]).ok());
+    }
+  }
+  ActivityId pivot = def.AddActivity("p", ActivityKind::kPivot, ServiceId(9));
+  ASSERT_TRUE(def.AddEdge(steps.back(), pivot).ok());
+  ASSERT_TRUE(def.Validate().ok());
+  ConflictSpec spec;
+  spec.AddConflict(ServiceId(1), ServiceId(500));  // 500 is no step's
+  spec.AddConflict(ServiceId(101), ServiceId(101));  // compensations'
+  spec.AddConflict(ServiceId(500), ServiceId(501));
+  ProcessSchedule s;
+  for (int i = 1; i <= kProcesses; ++i) {
+    ASSERT_TRUE(s.AddProcess(ProcessId(i), &def).ok());
+  }
+  for (ActivityId step : steps) {
+    for (int i = 1; i <= kProcesses; ++i) {
+      ASSERT_TRUE(
+          s.Append(ScheduleEvent::Activity({ProcessId(i), step, false})).ok());
+    }
+  }
+  ASSERT_EQ(s.size(), 1000u);
+  auto fast = AnalyzePRED(s, spec);
+  ASSERT_TRUE(fast.ok()) << fast.status();
+  EXPECT_TRUE(fast->prefix_reducible);
+  EXPECT_EQ(fast->tail_trials, 0u);
+}
+
+// --- Crash cuts with most processes active ---
+
+// tpmbench's payment world in small: tenant t's reserve increments its
+// `res` counter (compensated by a decrement) and its settle pivot
+// increments `set`. Increments commute, so no two services of the
+// definitions conflict.
+class EscrowPayments {
+ public:
+  explicit EscrowPayments(int tenants) {
+    for (int t = 0; t < tenants; ++t) {
+      auto escrow = std::make_unique<EscrowSubsystem>(SubsystemId(100 + t),
+                                                      StrCat("pay", t));
+      const ServiceId inc_res(1000 * (t + 1) + 1);
+      const ServiceId dec_res(1000 * (t + 1) + 2);
+      const ServiceId inc_set(1000 * (t + 1) + 3);
+      EXPECT_TRUE(escrow->CreateCounter("res", 0).ok());
+      EXPECT_TRUE(escrow->CreateCounter("set", 0).ok());
+      EXPECT_TRUE(escrow->RegisterIncService(inc_res, "res").ok());
+      EXPECT_TRUE(escrow->RegisterDecService(dec_res, "res").ok());
+      EXPECT_TRUE(escrow->RegisterIncService(inc_set, "set").ok());
+      escrow_.push_back(std::move(escrow));
+      services_.push_back({inc_res, dec_res, inc_set});
+    }
+    for (int a = 0; a < tenants; ++a) {
+      for (int b = 0; b < tenants; ++b) {
+        auto def = std::make_unique<ProcessDef>(StrCat("pay_", a, "_", b));
+        ActivityId reserve = def->AddActivity(
+            "reserve", ActivityKind::kCompensatable, services_[a][0],
+            services_[a][1]);
+        ActivityId settle = def->AddActivity("settle", ActivityKind::kPivot,
+                                             services_[b][2]);
+        EXPECT_TRUE(def->AddEdge(reserve, settle).ok());
+        EXPECT_TRUE(def->Validate().ok());
+        defs_.push_back(std::move(def));
+      }
+    }
+  }
+  Status Register(ShardedRuntime* runtime) {
+    for (const auto& escrow : escrow_) {
+      TPM_RETURN_IF_ERROR(runtime->AddSubsystem(escrow.get()));
+    }
+    return Status::OK();
+  }
+  std::map<std::string, const ProcessDef*> DefsByName() const {
+    std::map<std::string, const ProcessDef*> out;
+    for (const auto& def : defs_) out[def->name()] = def.get();
+    return out;
+  }
+  const ProcessDef* Payment(int a, int b) const {
+    return defs_[a * escrow_.size() + b].get();
+  }
+  int tenants() const { return static_cast<int>(escrow_.size()); }
+
+ private:
+  std::vector<std::unique_ptr<EscrowSubsystem>> escrow_;
+  std::vector<std::vector<ServiceId>> services_;
+  std::vector<std::unique_ptr<ProcessDef>> defs_;
+};
+
+// Submits every definition before the first lockstep round, stops after
+// `rounds` rounds without draining (the crash), and recovers a fresh
+// incarnation from the file WAL with its own verification off, so a
+// disagreement reports the schedule instead of failing inside Recover.
+// Returns the recovered, stopped runtime.
+std::unique_ptr<ShardedRuntime> RecoverCrashCut(
+    const std::function<Status(ShardedRuntime*)>& register_world,
+    const std::map<std::string, const ProcessDef*>& defs_by_name,
+    const std::vector<const ProcessDef*>& defs, int shards, int rounds,
+    const std::string& wal_dir) {
+  std::filesystem::remove_all(wal_dir);
+  ShardedRuntimeOptions options;
+  options.num_shards = shards;
+  options.mode = TickMode::kLockstep;
+  options.queue_capacity = 4096;
+  options.log_mode = ShardLogMode::kFile;
+  options.wal_dir = wal_dir;
+  {
+    ShardedRuntime runtime(options);
+    EXPECT_TRUE(register_world(&runtime).ok());
+    EXPECT_TRUE(runtime.Start().ok());
+    for (const ProcessDef* def : defs) (void)runtime.Submit(def);
+    EXPECT_TRUE(runtime.Tick(rounds).ok());
+    EXPECT_TRUE(runtime.Stop().ok());
+  }
+  options.verify_recovery = false;
+  auto recovered = std::make_unique<ShardedRuntime>(options);
+  EXPECT_TRUE(register_world(recovered.get()).ok());
+  EXPECT_TRUE(recovered->Start().ok());
+  const Status status = recovered->Recover(defs_by_name);
+  EXPECT_TRUE(status.ok()) << status;
+  EXPECT_TRUE(recovered->Stop().ok());
+  return recovered;
+}
+
+// Every shard history and the global projection: agreement with the
+// reference, the trial bound, and Proc-REC against the rescan. In a
+// conflict-free world no prefix may need a trial. Returns the events.
+size_t ExpectCrashCutAgreement(ShardedRuntime* runtime, bool conflict_free,
+                               const std::string& label) {
+  std::vector<std::pair<ProcessSchedule, const ConflictSpec*>> histories;
+  for (int shard = 0; shard < runtime->num_shards(); ++shard) {
+    TransactionalProcessScheduler* scheduler = runtime->shard_scheduler(shard);
+    histories.emplace_back(scheduler->history(), &scheduler->conflict_spec());
+  }
+  auto global = runtime->GlobalProjection();
+  EXPECT_TRUE(global.ok()) << global.status();
+  if (global.ok()) histories.emplace_back(*global, &runtime->union_spec());
+  size_t events = 0;
+  for (size_t h = 0; h < histories.size(); ++h) {
+    const auto& [history, spec] = histories[h];
+    const std::string where =
+        StrCat(label, h < static_cast<size_t>(runtime->num_shards())
+                          ? StrCat(" shard ", h)
+                          : std::string(" global"));
+    events += history.size();
+    ExpectAgreementAndTrialBound(history, *spec, where);
+    if (conflict_free) {
+      auto fast = AnalyzePRED(history, *spec);
+      EXPECT_TRUE(fast.ok()) << where;
+      if (fast.ok()) {
+        EXPECT_EQ(fast->tail_trials, 0u) << where;
+      }
+    }
+    ExpectSameProcRec(CommittedProjection(history), *spec, where);
+  }
+  return events;
+}
+
+TEST(PredOracleCrashCut, ConflictFreeEscrowPayments) {
+  for (uint64_t k = 0; k < 2; ++k) {
+    const uint64_t seed = SeedBase() * 7919 + k;
+    const std::string label =
+        StrCat("TPM_PRED_ORACLE_SEED_BASE=", SeedBase(), " escrow cut ", k);
+    SCOPED_TRACE(label);
+    EscrowPayments world(4);
+    Rng rng(seed);
+    std::vector<const ProcessDef*> defs;
+    for (int i = 0; i < 200; ++i) {
+      const int a = static_cast<int>(rng.NextBounded(4));
+      const int b = rng.NextBool(0.1)
+                        ? static_cast<int>(rng.NextBounded(4))
+                        : a;
+      defs.push_back(world.Payment(a, b));
+    }
+    auto recovered = RecoverCrashCut(
+        [&world](ShardedRuntime* runtime) { return world.Register(runtime); },
+        world.DefsByName(), defs, /*shards=*/2, /*rounds=*/3 + k,
+        ::testing::TempDir() + StrCat("pred_oracle_escrow_", k));
+    EXPECT_GT(ExpectCrashCutAgreement(recovered.get(), true, label), 200u);
+    std::filesystem::remove_all(::testing::TempDir() +
+                                StrCat("pred_oracle_escrow_", k));
+  }
+}
+
+TEST(PredOracleCrashCut, OrderWorld) {
+  for (uint64_t k = 0; k < 2; ++k) {
+    const uint64_t seed = SeedBase() * 7919 + k;
+    const std::string label =
+        StrCat("TPM_PRED_ORACLE_SEED_BASE=", SeedBase(), " order cut ", k);
+    SCOPED_TRACE(label);
+    ShardedWorld world({.seed = seed, .num_tenants = 2});
+    Rng rng(seed);
+    std::vector<const ProcessDef*> defs;
+    for (int i = 0; i < 60; ++i) {
+      const int t = static_cast<int>(rng.NextBounded(2));
+      const int variant = static_cast<int>(rng.NextBounded(3));
+      const std::string name = StrCat("p", i);
+      switch (rng.NextBounded(4)) {
+        case 0:
+          defs.push_back(world.MakeOrderProcess(t, name, variant));
+          break;
+        case 3:
+          defs.push_back(world.MakeRefillProcess(t, name, variant));
+          break;
+        default:
+          defs.push_back(world.MakeConsumeProcess(t, name, variant));
+          break;
+      }
+      if (i % 15 == 14) {
+        defs.push_back(world.MakeSpanningProcess(StrCat("sp", i), t, 1 - t));
+      }
+    }
+    for (const ProcessDef* def : defs) ASSERT_NE(def, nullptr);
+    auto recovered = RecoverCrashCut(
+        [&world](ShardedRuntime* runtime) { return world.RegisterAll(runtime); },
+        world.DefsByName(), defs, /*shards=*/2, /*rounds=*/4 + 2 * k,
+        ::testing::TempDir() + StrCat("pred_oracle_orders_", k));
+    EXPECT_GT(ExpectCrashCutAgreement(recovered.get(), false, label), 60u);
+    std::filesystem::remove_all(::testing::TempDir() +
+                                StrCat("pred_oracle_orders_", k));
+  }
+}
+
 
 }  // namespace
 }  // namespace tpm
