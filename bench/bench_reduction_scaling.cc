@@ -8,7 +8,9 @@
 // order economy (ShardedWorld, two tenants, four processes outstanding),
 // and on recovered crash cuts: everything submitted at once, a few
 // scheduling passes, a crash and Recover, so about 100 processes are
-// active at the cut and the tail of completions is long.
+// active at the cut and the tail of completions is long. One more row
+// times a conflict-free 1,000-event history with 200 processes active,
+// where the per-event bookkeeping is the whole cost.
 
 #include <benchmark/benchmark.h>
 
@@ -118,6 +120,47 @@ CrashCutHistory RecordCrashCut(int processes, int passes) {
 constexpr int kCrashCutProcesses[] = {100, 200};
 constexpr int kCrashCutPasses = 3;
 
+// A conflict-free history with most processes active: 200 processes of one
+// five-step chain, each step run by every process in turn, and conflicts
+// declared only outside the chain's services (the history of the property
+// test ConflictFreeHighActiveHistoryRunsNoTrial). No token is indexed, so
+// the check is the per-event bookkeeping alone.
+struct ConflictFreeHistory {
+  ProcessDef def{"chain"};
+  ConflictSpec spec;
+  ProcessSchedule history;
+};
+
+std::unique_ptr<ConflictFreeHistory> RecordConflictFree() {
+  constexpr int kProcesses = 200;
+  constexpr int kSteps = 5;
+  auto h = std::make_unique<ConflictFreeHistory>();
+  std::vector<ActivityId> steps;
+  for (int k = 0; k < kSteps; ++k) {
+    steps.push_back(h->def.AddActivity(StrCat("c", k),
+                                       ActivityKind::kCompensatable,
+                                       ServiceId(1 + k), ServiceId(101 + k)));
+    if (k > 0) (void)h->def.AddEdge(steps[k - 1], steps[k]);
+  }
+  ActivityId pivot =
+      h->def.AddActivity("p", ActivityKind::kPivot, ServiceId(9));
+  (void)h->def.AddEdge(steps.back(), pivot);
+  (void)h->def.Validate();
+  h->spec.AddConflict(ServiceId(1), ServiceId(500));
+  h->spec.AddConflict(ServiceId(101), ServiceId(101));
+  h->spec.AddConflict(ServiceId(500), ServiceId(501));
+  for (int i = 1; i <= kProcesses; ++i) {
+    (void)h->history.AddProcess(ProcessId(i), &h->def);
+  }
+  for (ActivityId step : steps) {
+    for (int i = 1; i <= kProcesses; ++i) {
+      (void)h->history.Append(
+          ScheduleEvent::Activity({ProcessId(i), step, false}));
+    }
+  }
+  return h;
+}
+
 template <typename Analyze>
 double BestOfThreeMs(Analyze analyze) {
   double best = 1e300;
@@ -180,6 +223,25 @@ void PrintE26() {
               << std::setw(14) << reference_ms << std::setprecision(1)
               << std::setw(8) << reference_ms / fast_ms << "x"
               << (fast_pred && reference_pred ? "" : "  (NOT PRED)") << "\n";
+    std::cout.unsetf(std::ios::fixed);
+  }
+  std::cout << "\n";
+  std::cout << "E26 | conflict-free, most processes active (best of 3)\n";
+  std::cout << "  active  events  one-pass ms  tail trials\n";
+  {
+    std::unique_ptr<ConflictFreeHistory> h = RecordConflictFree();
+    bool pred = false;
+    size_t trials = 0;
+    const double fast_ms = BestOfThreeMs([&] {
+      auto outcome = AnalyzePRED(h->history, h->spec);
+      pred = outcome.ok() && outcome->prefix_reducible;
+      trials = outcome.ok() ? outcome->tail_trials : 0;
+    });
+    std::cout << "  " << std::setw(6) << h->history.ActiveProcesses().size()
+              << std::setw(8) << h->history.size() << std::fixed
+              << std::setprecision(3) << std::setw(13) << fast_ms
+              << std::setw(13) << trials << (pred ? "" : "  (NOT PRED)")
+              << "\n";
     std::cout.unsetf(std::ios::fixed);
   }
   std::cout << "\n";
@@ -280,6 +342,16 @@ BENCHMARK(BM_AnalyzePREDCrashCut)
     ->Arg(kCrashCutProcesses[0])
     ->Arg(kCrashCutProcesses[1])
     ->Unit(benchmark::kMillisecond);
+
+void BM_AnalyzePREDConflictFree(benchmark::State& state) {
+  std::unique_ptr<ConflictFreeHistory> h = RecordConflictFree();
+  for (auto _ : state) {
+    auto outcome = AnalyzePRED(h->history, h->spec);
+    benchmark::DoNotOptimize(outcome);
+  }
+  state.counters["events"] = static_cast<double>(h->history.size());
+}
+BENCHMARK(BM_AnalyzePREDConflictFree)->Unit(benchmark::kMillisecond);
 
 void BM_AnalyzePREDReference(benchmark::State& state) {
   RecordedHistory h = RecordHistory(static_cast<int>(state.range(0)));

@@ -1,6 +1,7 @@
 #include "core/completed_schedule.h"
 
 #include <algorithm>
+#include <span>
 
 #include "common/str_util.h"
 
@@ -22,7 +23,12 @@ Status CompletionBuilder::AppendExpanded(const ScheduleEvent& event,
       ProcState& state = procs_[event.act.process];
       ++state.version;
       if (!event.act.inverse) {
-        commit_pos_[event.act] = expanded_.size() - 1;
+        const size_t index =
+            static_cast<size_t>(event.act.activity.value() - 1);
+        if (state.commit_pos.size() <= index) {
+          state.commit_pos.resize(index + 1, 0);
+        }
+        state.commit_pos[index] = expanded_.size() - 1;
       }
     }
     return Status::OK();
@@ -34,41 +40,62 @@ Status CompletionBuilder::AppendExpanded(const ScheduleEvent& event,
   return Status::OK();
 }
 
+size_t CompletionBuilder::MemoKeyHash::operator()(const MemoKey& key) const {
+  // FNV-1a over the key's words.
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint64_t word) {
+    h ^= word;
+    h *= 1099511628211ull;
+  };
+  mix(reinterpret_cast<uintptr_t>(key.def));
+  mix(static_cast<uint64_t>(key.outcome));
+  for (const auto& [activity, compensated] : key.commits) {
+    mix(static_cast<uint64_t>(activity.value()) * 2 + (compensated ? 1 : 0));
+  }
+  return static_cast<size_t>(h);
+}
+
+const CompletionBuilder::Memo& CompletionBuilder::Memoised(
+    const ProcessExecutionState& execution) {
+  probe_.def = &execution.def();
+  probe_.outcome = execution.outcome();
+  probe_.commits.clear();
+  for (ActivityId a : execution.committed_order()) {
+    probe_.commits.emplace_back(a, execution.IsCompensated(a));
+  }
+  auto it = memo_.find(probe_);
+  if (it != memo_.end()) return it->second;
+  Memo memo;
+  Result<Completion> completion = ComputeCompletion(execution);
+  memo.status = completion.status();
+  if (completion.ok()) {
+    memo.completion = std::move(completion).value();
+    // The steps must append legally, as Finish's Append would demand.
+    ProcessExecutionState probe = execution;
+    for (const CompletionStep& step : memo.completion.steps) {
+      memo.status = step.inverse ? probe.RecordCompensation(step.activity)
+                                 : probe.CheckCommitLegal(step.activity);
+      if (memo.status.ok() && !step.inverse) {
+        memo.status = probe.RecordCommit(step.activity);
+      }
+      if (!memo.status.ok()) break;
+      memo.services.push_back(execution.def().activity(step.activity).service);
+    }
+  }
+  return memo_.emplace(probe_, std::move(memo)).first->second;
+}
+
 Status CompletionBuilder::Refresh(ProcessId pid, ProcState* state) {
-  if (state->cached && state->cached_version == state->version) {
-    return state->status;
+  if (state->memo != nullptr && state->cached_version == state->version) {
+    return state->memo->status;
   }
   const ProcessExecutionState* execution = expanded_.StateOf(pid);
   if (execution == nullptr) {
     return Status::NotFound(StrCat("unknown process P", pid));
   }
-  state->cached = true;
   state->cached_version = state->version;
-  state->services.clear();
-  state->positions.clear();
-  Result<Completion> completion = ComputeCompletion(*execution);
-  state->status = completion.status();
-  if (!completion.ok()) return state->status;
-  state->completion = std::move(completion).value();
-  // The steps must append legally, as Finish's Append would demand.
-  ProcessExecutionState probe = *execution;
-  for (const CompletionStep& step : state->completion.steps) {
-    state->status = step.inverse ? probe.RecordCompensation(step.activity)
-                                 : probe.CheckCommitLegal(step.activity);
-    if (state->status.ok() && !step.inverse) {
-      state->status = probe.RecordCommit(step.activity);
-    }
-    if (!state->status.ok()) return state->status;
-    size_t position = 0;
-    if (step.inverse) {
-      auto it = commit_pos_.find(ActivityInstance{pid, step.activity, false});
-      if (it != commit_pos_.end()) position = it->second;
-    }
-    state->services.push_back(
-        expanded_.ServiceOf(ActivityInstance{pid, step.activity, false}));
-    state->positions.push_back(position);
-  }
-  return state->status;
+  state->memo = &Memoised(*execution);
+  return state->memo->status;
 }
 
 bool CompletionBuilder::TailBefore::operator()(const TailKey& a,
@@ -83,13 +110,21 @@ std::vector<CompletionBuilder::KeptStep> CompletionBuilder::Keyed(
     ProcessId pid, int64_t rank, const ProcState& state,
     const TailFilter& keep) const {
   std::vector<KeptStep> keyed;
-  const std::vector<CompletionStep>& steps = state.completion.steps;
+  const std::vector<CompletionStep>& steps = state.memo->completion.steps;
+  const std::vector<ServiceId>& services = state.memo->services;
   for (size_t i = 0; i < steps.size(); ++i) {
-    if (!keep(state.services[i])) continue;
+    if (!keep(services[i])) continue;
     const bool forward = !steps[i].inverse;
-    keyed.push_back({{forward, forward ? 0 : state.positions[i], rank, i},
+    // Lemma 2 orders the inverses by this process's own commit positions,
+    // which the memo does not share.
+    size_t position = 0;
+    const size_t index = static_cast<size_t>(steps[i].activity.value() - 1);
+    if (!forward && index < state.commit_pos.size()) {
+      position = state.commit_pos[index];
+    }
+    keyed.push_back({{forward, position, rank, i},
                      {{pid, steps[i].activity, steps[i].inverse},
-                      state.services[i]}});
+                      services[i]}});
   }
   std::sort(keyed.begin(), keyed.end());
   return keyed;
@@ -148,14 +183,14 @@ Status CompletionBuilder::SyncTail(const ScheduleEvent& event,
            a.key.position == b.key.position;
   };
   // Completions depend only on their own process's execution state.
-  std::vector<ProcessId> touched;
+  std::span<const ProcessId> touched;
   switch (event.type) {
     case EventType::kActivity:
-      if (!event.aborted_invocation) touched.push_back(event.act.process);
+      if (!event.aborted_invocation) touched = {&event.act.process, 1};
       break;
     case EventType::kCommit:
     case EventType::kAbort:
-      touched.push_back(event.process);
+      touched = {&event.process, 1};
       break;
     case EventType::kGroupAbort:
       touched = event.group;

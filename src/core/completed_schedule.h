@@ -4,6 +4,8 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -59,8 +61,10 @@ struct TailStep {
 ///
 /// The commit position of each original activity is maintained as events
 /// arrive. The kept tail changes only where an event touched it: the
-/// completion of a process is recomputed when that process gets an event,
-/// and its steps leave the tail when it terminates.
+/// completion of a process is looked up again when that process gets an
+/// event, and its steps leave the tail when it terminates. Completions are
+/// memoised by what they depend on (`MemoKey`), so processes of one
+/// definition that reach the same state share one computation.
 class CompletionBuilder {
  public:
   /// Which completion steps the kept tail holds, by the step's service.
@@ -132,23 +136,41 @@ class CompletionBuilder {
       return TailBefore()(key, other.key);
     }
   };
-  struct ProcState {
-    /// Bumped whenever an event changes the process's execution state.
-    uint64_t version = 0;
-    /// The completion as of `cached_version`, whether it appends legally,
-    /// and for each step its service and the position of its original
-    /// (backward steps).
-    uint64_t cached_version = 0;
-    bool cached = false;
+  /// What a completion depends on: the process's execution state minus its
+  /// pid. That is its definition, its `committed_order()` with whether
+  /// each entry is compensated now, and its outcome (DESIGN.md §4l).
+  struct MemoKey {
+    const ProcessDef* def = nullptr;
+    ProcessOutcome outcome = ProcessOutcome::kActive;
+    std::vector<std::pair<ActivityId, bool>> commits;
+    bool operator==(const MemoKey& other) const = default;
+  };
+  struct MemoKeyHash {
+    size_t operator()(const MemoKey& key) const;
+  };
+  /// The completion of a key, whether its steps append legally, and each
+  /// step's service.
+  struct Memo {
     Status status;
     Completion completion;
     std::vector<ServiceId> services;
-    std::vector<size_t> positions;
+  };
+  struct ProcState {
+    /// Bumped whenever an event changes the process's execution state.
+    uint64_t version = 0;
+    /// The memoised completion as of `cached_version`.
+    uint64_t cached_version = 0;
+    const Memo* memo = nullptr;
+    /// Position in `expanded_` of the latest commit of each original
+    /// activity, by activity index.
+    std::vector<size_t> commit_pos;
     /// Its steps in the kept tail, in tail order.
     std::vector<KeptStep> kept;
   };
   using Members = std::vector<std::pair<ProcessId, ProcState*>>;
 
+  // The memo entry of `execution`'s key, computed on a miss.
+  const Memo& Memoised(const ProcessExecutionState& execution);
   // Refreshes the cached completion of `pid` if the process changed since.
   Status Refresh(ProcessId pid, ProcState* state);
   // The steps of `pid`'s refreshed completion whose service `keep`
@@ -163,10 +185,10 @@ class CompletionBuilder {
 
   ProcessSchedule expanded_;
   std::set<ProcessId> active_;
-  std::map<ProcessId, ProcState> procs_;
-  /// Position in `expanded_` of the latest commit of each original
-  /// activity.
-  std::map<ActivityInstance, size_t> commit_pos_;
+  std::unordered_map<ProcessId, ProcState> procs_;
+  /// Completions by key; `probe_` is the key being looked up.
+  std::unordered_map<MemoKey, Memo, MemoKeyHash> memo_;
+  MemoKey probe_;
   std::map<TailKey, TailStep, TailBefore> tail_;
 };
 

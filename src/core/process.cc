@@ -60,7 +60,8 @@ Status ProcessDef::Validate() {
   }
   // Precedence must be acyclic (Def. 5: << is irreflexive, transitive,
   // acyclic).
-  if (BuildDag().HasCycle()) {
+  Result<Order> order = ComputeOrder();
+  if (!order.ok()) {
     return Status::InvalidArgument("precedence order contains a cycle");
   }
   // Preference groups per source must be contiguous 0..k so the total order
@@ -78,6 +79,7 @@ Status ProcessDef::Validate() {
       ++expected;
     }
   }
+  order_ = std::move(order).value();
   validated_ = true;
   return Status::OK();
 }
@@ -148,34 +150,48 @@ std::vector<ActivityId> ProcessDef::Subtree(ActivityId start) const {
   return Subtree(std::vector<ActivityId>{start});
 }
 
+Result<ProcessDef::Order> ProcessDef::ComputeOrder() const {
+  TPM_ASSIGN_OR_RETURN(std::vector<int> topo, BuildDag().TopologicalOrder());
+  std::vector<size_t> rank(activities_.size());
+  for (size_t i = 0; i < topo.size(); ++i) rank[topo[i]] = i;
+  Order order;
+  order.topo = std::move(topo);
+  for (const auto& e : edges_) {
+    order.edges.emplace_back(IndexOf(e.from), IndexOf(e.to));
+  }
+  std::stable_sort(order.edges.begin(), order.edges.end(),
+                   [&rank](const auto& a, const auto& b) {
+                     return rank[a.first] < rank[b.first];
+                   });
+  return order;
+}
+
+const ProcessDef::Order& ProcessDef::CurrentOrder(Order* fresh) const {
+  if (validated_) return order_;
+  // An unvalidated definition may have changed since the last Validate().
+  *fresh = *ComputeOrder();
+  return *fresh;
+}
+
+std::vector<bool> ProcessDef::Reach(const std::vector<ActivityId>& starts,
+                                    const Order& order) const {
+  std::vector<bool> reached(activities_.size(), false);
+  for (ActivityId s : starts) reached[IndexOf(s)] = true;
+  // Every edge into a node precedes every edge out of it.
+  for (const auto& [from, to] : order.edges) {
+    if (reached[from]) reached[to] = true;
+  }
+  return reached;
+}
+
 std::vector<ActivityId> ProcessDef::Subtree(
     const std::vector<ActivityId>& starts) const {
-  Dag dag = BuildDag();
-  std::vector<bool> in_subtree(activities_.size(), false);
-  std::vector<int> stack;
-  for (ActivityId s : starts) {
-    int idx = IndexOf(s);
-    if (!in_subtree[idx]) {
-      in_subtree[idx] = true;
-      stack.push_back(idx);
-    }
-  }
-  while (!stack.empty()) {
-    int v = stack.back();
-    stack.pop_back();
-    for (int w : dag.Successors(v)) {
-      if (!in_subtree[w]) {
-        in_subtree[w] = true;
-        stack.push_back(w);
-      }
-    }
-  }
-  // Topological order restricted to the subtree. The full graph is acyclic
-  // after Validate(), so this cannot fail.
-  auto topo = dag.TopologicalOrder();
+  Order fresh;
+  const Order& order = CurrentOrder(&fresh);
+  const std::vector<bool> reached = Reach(starts, order);
   std::vector<ActivityId> result;
-  for (int v : *topo) {
-    if (in_subtree[v]) result.push_back(IdOf(v));
+  for (int v : order.topo) {
+    if (reached[v]) result.push_back(IdOf(v));
   }
   return result;
 }
@@ -195,7 +211,8 @@ bool ProcessDef::SubtreeAllRetriable(
 
 bool ProcessDef::Precedes(ActivityId from, ActivityId to) const {
   if (from == to) return false;
-  return BuildDag().Reachable(IndexOf(from), IndexOf(to));
+  Order fresh;
+  return Reach({from}, CurrentOrder(&fresh))[IndexOf(to)];
 }
 
 std::string ProcessDef::ToString() const {

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/dag.h"
@@ -64,7 +65,10 @@ class ProcessDef {
   /// Checks structural sanity: ids valid, precedence acyclic, compensation
   /// services present exactly on compensatable activities, preference
   /// groups contiguous from 0 per source. Does NOT check the well-formed
-  /// flex structure (see flex_structure.h). Idempotent.
+  /// flex structure (see flex_structure.h). Idempotent. Also computes the
+  /// topological order once, for Subtree and Precedes; a later
+  /// AddActivity/AddEdge clears `validated()`, and those queries compute
+  /// it afresh until the next Validate().
   Status Validate();
 
   bool validated() const { return validated_; }
@@ -120,12 +124,29 @@ class ProcessDef {
  private:
   int IndexOf(ActivityId id) const { return static_cast<int>(id.value()) - 1; }
   ActivityId IdOf(int index) const { return ActivityId(index + 1); }
+  /// The precedence order over dense indices: one topological order of
+  /// the activities, and the edges sorted by their source's place in it,
+  /// so one pass over `edges` propagates reachability.
+  struct Order {
+    std::vector<int> topo;
+    std::vector<std::pair<int, int>> edges;
+  };
   Dag BuildDag() const;
+  // Fails if the precedence order has a cycle.
+  Result<Order> ComputeOrder() const;
+  // `order_`, or, while the definition is unvalidated, an order computed
+  // afresh into `fresh`. Requires an acyclic precedence order.
+  const Order& CurrentOrder(Order* fresh) const;
+  // Whether each activity is reachable from `starts` (inclusive).
+  std::vector<bool> Reach(const std::vector<ActivityId>& starts,
+                          const Order& order) const;
 
   std::string name_;
   std::vector<ActivityDecl> activities_;
   std::vector<PrecedenceEdge> edges_;
   bool validated_ = false;
+  /// Set by Validate().
+  Order order_;
 };
 
 }  // namespace tpm

@@ -14,8 +14,12 @@ std::string ProcRecViolation::ToString() const {
                 ActivityInstanceToString(later));
 }
 
-ProcRecOutcome AnalyzeProcessRecoverability(const ProcessSchedule& schedule,
-                                            const ConflictSpec& spec) {
+namespace {
+
+// Proc-REC over the events of every process, or of the committed ones
+// only (`committed_only`).
+ProcRecOutcome Analyze(const ProcessSchedule& schedule,
+                       const ConflictSpec& spec, bool committed_only) {
   ProcRecOutcome outcome;
   const auto& events = schedule.events();
   const size_t n = events.size();
@@ -30,6 +34,13 @@ ProcRecOutcome AnalyzeProcessRecoverability(const ProcessSchedule& schedule,
                               ? events[i].act.process
                               : events[i].process;
     proc_of[i] = dense.try_emplace(pid, dense.size()).first->second;
+  }
+  // Whether each process's events are read at all.
+  std::vector<bool> read(dense.size(), true);
+  if (committed_only) {
+    for (const auto& [pid, index] : dense) {
+      read[index] = schedule.IsProcessCommitted(pid);
+    }
   }
   std::vector<size_t> commit_pos(dense.size(), kNone);
   for (size_t i = 0; i < n; ++i) {
@@ -46,7 +57,10 @@ ProcRecOutcome AnalyzeProcessRecoverability(const ProcessSchedule& schedule,
   std::vector<ServiceId> services;
   for (size_t i = n; i-- > 0;) {
     const ScheduleEvent& e = events[i];
-    if (e.type != EventType::kActivity || e.aborted_invocation) continue;
+    if (e.type != EventType::kActivity || e.aborted_invocation ||
+        !read[proc_of[i]]) {
+      continue;
+    }
     next_non_comp[i] = upcoming[proc_of[i]];
     const ServiceId id = schedule.ServiceOf(e.act);
     if (id.valid()) {
@@ -109,6 +123,18 @@ ProcRecOutcome AnalyzeProcessRecoverability(const ProcessSchedule& schedule,
   }
   outcome.process_recoverable = outcome.violations.empty();
   return outcome;
+}
+
+}  // namespace
+
+ProcRecOutcome AnalyzeProcessRecoverability(const ProcessSchedule& schedule,
+                                            const ConflictSpec& spec) {
+  return Analyze(schedule, spec, /*committed_only=*/false);
+}
+
+ProcRecOutcome AnalyzeCommittedRecoverability(const ProcessSchedule& schedule,
+                                              const ConflictSpec& spec) {
+  return Analyze(schedule, spec, /*committed_only=*/true);
 }
 
 bool IsProcessRecoverable(const ProcessSchedule& schedule,

@@ -45,6 +45,14 @@ struct ProcRecOutcome {
 ProcRecOutcome AnalyzeProcessRecoverability(const ProcessSchedule& schedule,
                                             const ConflictSpec& spec);
 
+/// Proc-REC of `CommittedProjection(schedule)`, read in place: the events
+/// of processes that did not commit are skipped while indexing, so the
+/// projection is never built. Clauses 1 and 2 compare positions only
+/// relative to each other, which the projection preserves, so the
+/// violations are the same, in the same order.
+ProcRecOutcome AnalyzeCommittedRecoverability(const ProcessSchedule& schedule,
+                                              const ConflictSpec& spec);
+
 /// Convenience wrapper.
 bool IsProcessRecoverable(const ProcessSchedule& schedule,
                           const ConflictSpec& spec);

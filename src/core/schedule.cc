@@ -66,22 +66,20 @@ Status ProcessSchedule::AddProcess(ProcessId pid, const ProcessDef* def) {
   if (def == nullptr || !def->validated()) {
     return Status::InvalidArgument("process definition missing or unvalidated");
   }
-  if (defs_.count(pid) > 0) {
+  if (!states_.try_emplace(pid, pid, def).second) {
     return Status::AlreadyExists(StrCat("process P", pid, " already present"));
   }
-  defs_[pid] = def;
-  states_[pid] = std::make_shared<ProcessExecutionState>(pid, def);
   return Status::OK();
 }
 
 const ProcessDef* ProcessSchedule::DefOf(ProcessId pid) const {
-  auto it = defs_.find(pid);
-  return it == defs_.end() ? nullptr : it->second;
+  auto it = states_.find(pid);
+  return it == states_.end() ? nullptr : &it->second.def();
 }
 
 const ProcessExecutionState* ProcessSchedule::StateOf(ProcessId pid) const {
   auto it = states_.find(pid);
-  return it == states_.end() ? nullptr : it->second.get();
+  return it == states_.end() ? nullptr : &it->second;
 }
 
 Status ProcessSchedule::Append(const ScheduleEvent& event, bool enforce_legal) {
@@ -92,9 +90,8 @@ Status ProcessSchedule::Append(const ScheduleEvent& event, bool enforce_legal) {
         return Status::NotFound(
             StrCat("unknown process P", event.act.process));
       }
-      ProcessExecutionState& state = *it->second;
-      const ProcessDef& def = *defs_[event.act.process];
-      if (!def.HasActivity(event.act.activity)) {
+      ProcessExecutionState& state = it->second;
+      if (!state.def().HasActivity(event.act.activity)) {
         return Status::NotFound(StrCat("unknown activity a", event.act));
       }
       if (enforce_legal && !state.IsActive()) {
@@ -123,14 +120,14 @@ Status ProcessSchedule::Append(const ScheduleEvent& event, bool enforce_legal) {
       if (it == states_.end()) {
         return Status::NotFound(StrCat("unknown process P", event.process));
       }
-      if (enforce_legal && !it->second->IsActive()) {
+      if (enforce_legal && !it->second.IsActive()) {
         return Status::FailedPrecondition(
             StrCat("process P", event.process, " already terminated"));
       }
       if (event.type == EventType::kCommit) {
-        it->second->RecordCommitProcess();
+        it->second.RecordCommitProcess();
       } else {
-        it->second->RecordAbortProcess();
+        it->second.RecordAbortProcess();
       }
       break;
     }
@@ -140,11 +137,11 @@ Status ProcessSchedule::Append(const ScheduleEvent& event, bool enforce_legal) {
         if (it == states_.end()) {
           return Status::NotFound(StrCat("unknown process P", pid));
         }
-        if (enforce_legal && !it->second->IsActive()) {
+        if (enforce_legal && !it->second.IsActive()) {
           return Status::FailedPrecondition(
               StrCat("process P", pid, " already terminated"));
         }
-        it->second->RecordAbortProcess();
+        it->second.RecordAbortProcess();
       }
       break;
     }
@@ -163,7 +160,7 @@ size_t ProcessSchedule::VotePosition(ProcessId pid) const {
 std::vector<ProcessId> ProcessSchedule::ActiveProcesses() const {
   std::vector<ProcessId> active;
   for (const auto& [pid, state] : states_) {
-    if (state->IsActive()) active.push_back(pid);
+    if (state.IsActive()) active.push_back(pid);
   }
   return active;
 }
@@ -175,8 +172,8 @@ bool ProcessSchedule::IsProcessCommitted(ProcessId pid) const {
 
 ProcessSchedule ProcessSchedule::Prefix(size_t n) const {
   ProcessSchedule prefix;
-  for (const auto& [pid, def] : defs_) {
-    Status s = prefix.AddProcess(pid, def);
+  for (const auto& [pid, state] : states_) {
+    Status s = prefix.AddProcess(pid, &state.def());
     (void)s;  // cannot fail: defs were validated on original insertion
   }
   const size_t count = std::min(n, events_.size());
@@ -193,8 +190,7 @@ ProcessSchedule ProcessSchedule::Prefix(size_t n) const {
 }
 
 void ProcessSchedule::ReleaseProcess(ProcessId pid) {
-  if (defs_.erase(pid) == 0) return;
-  states_.erase(pid);
+  if (states_.erase(pid) == 0) return;
   votes_.erase(pid);
   released_.insert(pid);
 }

@@ -2,9 +2,10 @@
 #define TPM_CORE_SCHEDULE_H_
 
 #include <map>
-#include <memory>
+#include <ranges>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -88,8 +89,12 @@ class ProcessSchedule {
   /// Number of events that precede `pid`'s vote, or 0 if it has none.
   size_t VotePosition(ProcessId pid) const;
 
-  const std::map<ProcessId, const ProcessDef*>& processes() const {
-    return defs_;
+  /// The registered processes in pid order, as (pid, definition) pairs.
+  auto processes() const {
+    return states_ | std::views::transform([](const auto& entry) {
+             return std::pair<ProcessId, const ProcessDef*>(
+                 entry.first, &entry.second.def());
+           });
   }
   const ProcessDef* DefOf(ProcessId pid) const;
 
@@ -135,8 +140,10 @@ class ProcessSchedule {
 
  private:
   std::vector<ScheduleEvent> events_;
-  std::map<ProcessId, const ProcessDef*> defs_;
-  std::map<ProcessId, std::shared_ptr<ProcessExecutionState>> states_;
+  /// Each registered process's execution state, which carries its
+  /// definition, held by value: an appended event costs one lookup, and a
+  /// copy of the schedule owns its states.
+  std::map<ProcessId, ProcessExecutionState> states_;
   /// Processes released but whose events are not yet compacted away.
   std::set<ProcessId> released_;
   /// MarkVote positions, kept valid across Compact().
@@ -154,8 +161,9 @@ class ProcessSchedule {
 /// Proc-REC on the committed projection (commit order must agree with
 /// conflict order among the survivors) and PRED on the FULL history (the
 /// reduction-aware criterion that vets the compensations themselves).
-/// Shared by the integration/chaos suites and the sharded runtime's
-/// post-recovery self-check.
+/// Used by the integration/chaos suites; the sharded runtime's
+/// post-recovery self-check reads the same projection in place
+/// (AnalyzeCommittedRecoverability, core/recoverability.h).
 ProcessSchedule CommittedProjection(const ProcessSchedule& schedule);
 
 }  // namespace tpm

@@ -326,7 +326,7 @@ Status VerifyGlobalProjection(
   if (!pred) {
     return Status::Internal("global recovered history is not PRED");
   }
-  if (!IsProcessRecoverable(CommittedProjection(global), spec)) {
+  if (!AnalyzeCommittedRecoverability(global, spec).process_recoverable) {
     return Status::Internal(
         "global recovered committed projection is not Proc-REC");
   }

@@ -424,8 +424,9 @@ Status ShardedRuntime::Recover(
         return Status::Internal(
             StrCat("shard ", index, ": recovered history is not PRED"));
       }
-      if (!IsProcessRecoverable(CommittedProjection(scheduler->history()),
-                                scheduler->conflict_spec())) {
+      if (!AnalyzeCommittedRecoverability(scheduler->history(),
+                                          scheduler->conflict_spec())
+               .process_recoverable) {
         return Status::Internal(
             StrCat("shard ", index,
                    ": recovered committed projection is not Proc-REC"));

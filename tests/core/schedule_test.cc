@@ -114,5 +114,27 @@ TEST_F(ScheduleTest, UnknownProcessRejected) {
   EXPECT_TRUE(Act(ProcessId(42), 1).IsNotFound());
 }
 
+// A copy owns its execution states: events appended to the copy leave the
+// original's process states as they were.
+TEST(ProcessScheduleTest, CopyDoesNotShareExecutionState) {
+  figures::PaperWorld world;
+  ProcessSchedule original;
+  ASSERT_TRUE(original.AddProcess(kP1, &world.p1).ok());
+  ProcessSchedule copy = original;
+  ASSERT_TRUE(copy.Append(ScheduleEvent::Activity(
+                              ActivityInstance{kP1, ActivityId(1), false}))
+                  .ok());
+  ASSERT_TRUE(copy.Append(ScheduleEvent::Commit(kP1)).ok());
+
+  EXPECT_EQ(original.size(), 0u);
+  const ProcessExecutionState* state = original.StateOf(kP1);
+  ASSERT_NE(state, nullptr);
+  EXPECT_FALSE(state->IsCommitted(ActivityId(1)));
+  EXPECT_TRUE(state->IsActive());
+  EXPECT_TRUE(original.Append(ScheduleEvent::Commit(kP1)).ok());
+  EXPECT_TRUE(copy.IsProcessCommitted(kP1));
+  EXPECT_TRUE(copy.StateOf(kP1)->IsCommitted(ActivityId(1)));
+}
+
 }  // namespace
 }  // namespace tpm

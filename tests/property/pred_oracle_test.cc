@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <functional>
@@ -27,11 +28,13 @@
 #include <ostream>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/str_util.h"
 #include "core/completed_schedule.h"
+#include "core/completion.h"
 #include "core/pred.h"
 #include "core/recoverability.h"
 #include "core/reduction.h"
@@ -162,6 +165,199 @@ void ExpectSameProcRec(const ProcessSchedule& schedule,
   }
 }
 
+// The in-place committed check (AnalyzeCommittedRecoverability) against
+// the projection it reads without building: the same violations, in the
+// same order. Returns the number of violations.
+size_t ExpectSameCommittedProcRec(const ProcessSchedule& schedule,
+                                  const ConflictSpec& spec,
+                                  const std::string& label) {
+  const ProcRecOutcome projected =
+      AnalyzeProcessRecoverability(CommittedProjection(schedule), spec);
+  const ProcRecOutcome in_place =
+      AnalyzeCommittedRecoverability(schedule, spec);
+  EXPECT_EQ(in_place.process_recoverable, projected.process_recoverable)
+      << label;
+  EXPECT_EQ(in_place.violations.size(), projected.violations.size())
+      << label;
+  for (size_t v = 0; v < std::min(in_place.violations.size(),
+                                   projected.violations.size());
+       ++v) {
+    EXPECT_EQ(in_place.violations[v].ToString(),
+              projected.violations[v].ToString())
+        << label << " violation " << v;
+  }
+  return projected.violations.size();
+}
+
+// --- The completion memo, held to a recomputation without it ---
+
+// The merged completions of `pids` in S̃, computed from scratch on
+// `expanded` without CompletionBuilder's memo: ComputeCompletion on each
+// process's state, every step checked to append legally, and each inverse
+// placed by the latest commit of its own original in `expanded` (Lemma
+// 2). Backward steps first, by descending position; then forward steps in
+// `pids` order and completion order.
+Result<std::vector<ActivityInstance>> MergeWithoutMemo(
+    const ProcessSchedule& expanded, const std::vector<ProcessId>& pids) {
+  struct Keyed {
+    bool forward;
+    size_t position;
+    size_t rank;
+    size_t index;
+    ActivityInstance act;
+  };
+  std::vector<Keyed> keyed;
+  for (size_t rank = 0; rank < pids.size(); ++rank) {
+    const ProcessId pid = pids[rank];
+    const ProcessExecutionState* state = expanded.StateOf(pid);
+    if (state == nullptr) return Status::NotFound(StrCat("no P", pid));
+    TPM_ASSIGN_OR_RETURN(Completion completion, ComputeCompletion(*state));
+    ProcessExecutionState probe = *state;
+    for (size_t i = 0; i < completion.steps.size(); ++i) {
+      const CompletionStep& step = completion.steps[i];
+      Status legal = step.inverse ? probe.RecordCompensation(step.activity)
+                                  : probe.CheckCommitLegal(step.activity);
+      if (legal.ok() && !step.inverse) legal = probe.RecordCommit(step.activity);
+      TPM_RETURN_IF_ERROR(legal);
+      const ActivityInstance original{pid, step.activity, false};
+      size_t position = 0;
+      for (size_t k = 0; step.inverse && k < expanded.size(); ++k) {
+        const ScheduleEvent& e = expanded.events()[k];
+        if (e.type == EventType::kActivity && !e.aborted_invocation &&
+            e.act == original) {
+          position = k;
+        }
+      }
+      keyed.push_back({!step.inverse, step.inverse ? position : 0, rank, i,
+                       {pid, step.activity, step.inverse}});
+    }
+  }
+  std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
+    if (a.forward != b.forward) return !a.forward;
+    if (!a.forward && a.position != b.position) {
+      return a.position > b.position;
+    }
+    return std::tie(a.rank, a.index) < std::tie(b.rank, b.index);
+  });
+  std::vector<ActivityInstance> merged;
+  for (const Keyed& step : keyed) merged.push_back(step.act);
+  return merged;
+}
+
+// CompleteSchedule without the memo: every abort expanded in place by
+// MergeWithoutMemo, then the group abort of the processes left active.
+Result<ProcessSchedule> CompleteWithoutMemo(const ProcessSchedule& schedule) {
+  ProcessSchedule expanded;
+  for (const auto& [pid, def] : schedule.processes()) {
+    TPM_RETURN_IF_ERROR(expanded.AddProcess(pid, def));
+  }
+  auto expand_abort = [&expanded](const std::vector<ProcessId>& pids) {
+    Result<std::vector<ActivityInstance>> merged =
+        MergeWithoutMemo(expanded, pids);
+    if (!merged.ok()) return merged.status();
+    for (const ActivityInstance& act : *merged) {
+      TPM_RETURN_IF_ERROR(expanded.Append(ScheduleEvent::Activity(act)));
+    }
+    for (ProcessId pid : pids) {
+      TPM_RETURN_IF_ERROR(expanded.Append(ScheduleEvent::Commit(pid)));
+    }
+    return Status::OK();
+  };
+  for (const ScheduleEvent& event : schedule.events()) {
+    switch (event.type) {
+      case EventType::kActivity:
+      case EventType::kCommit:
+        TPM_RETURN_IF_ERROR(expanded.Append(event, /*enforce_legal=*/false));
+        break;
+      case EventType::kAbort:
+        TPM_RETURN_IF_ERROR(expand_abort({event.process}));
+        break;
+      case EventType::kGroupAbort:
+        TPM_RETURN_IF_ERROR(expand_abort(event.group));
+        break;
+    }
+  }
+  const std::vector<ProcessId> active = expanded.ActiveProcesses();
+  if (!active.empty()) TPM_RETURN_IF_ERROR(expand_abort(active));
+  return expanded;
+}
+
+std::vector<std::string> Rendered(const std::vector<ActivityInstance>& acts) {
+  std::vector<std::string> out;
+  for (const ActivityInstance& act : acts) {
+    out.push_back(ActivityInstanceToString(act));
+  }
+  return out;
+}
+
+// Holds CompletionBuilder, memo included, to the recomputation without it.
+// The builder is driven one event at a time, keeping every step in its
+// tail. Each event's SyncTail must fail exactly where recomputing the
+// completions of the processes it touched fails, with the same error, and
+// until the first failure the kept tail must be the memo-free merge of the
+// active processes. The run goes on past a failure, so a later process
+// that reaches a memoised failing state is checked too. CompleteSchedule
+// must also match CompleteWithoutMemo, abort expansions included. Returns
+// the positions of the events whose SyncTail failed.
+std::vector<size_t> ExpectMemoMatchesRecomputation(
+    const ProcessSchedule& schedule, const std::string& label) {
+  std::vector<size_t> failed;
+  CompletionBuilder builder(schedule);
+  CompletionBuilder::TailChange change;
+  const CompletionBuilder::TailFilter keep_all = [](ServiceId) {
+    return true;
+  };
+  for (size_t n = 0; n < schedule.size(); ++n) {
+    const ScheduleEvent& event = schedule.events()[n];
+    const Status added = builder.Add(event);
+    if (!added.ok()) {
+      EXPECT_FALSE(CompleteWithoutMemo(schedule.Prefix(n + 1)).ok())
+          << label << " event " << n << ": " << added;
+      return failed;
+    }
+    std::vector<ProcessId> touched;
+    switch (event.type) {
+      case EventType::kActivity:
+        if (!event.aborted_invocation) touched.push_back(event.act.process);
+        break;
+      case EventType::kCommit:
+      case EventType::kAbort:
+        touched.push_back(event.process);
+        break;
+      case EventType::kGroupAbort:
+        touched = event.group;
+        break;
+    }
+    std::erase_if(touched, [&](ProcessId pid) {
+      return builder.active().count(pid) == 0;
+    });
+    const Status synced = builder.SyncTail(event, keep_all, &change);
+    const Status recomputed =
+        MergeWithoutMemo(builder.expanded(), touched).status();
+    EXPECT_EQ(synced.ToString(), recomputed.ToString())
+        << label << " event " << n;
+    if (!synced.ok()) failed.push_back(n);
+    if (!failed.empty()) continue;
+    auto tail = MergeWithoutMemo(
+        builder.expanded(), std::vector<ProcessId>(builder.active().begin(),
+                                                   builder.active().end()));
+    EXPECT_TRUE(tail.ok()) << label << " event " << n << ": "
+                           << tail.status();
+    if (!tail.ok()) continue;
+    std::vector<ActivityInstance> kept;
+    for (const TailStep& step : builder.Tail()) kept.push_back(step.act);
+    EXPECT_EQ(Rendered(kept), Rendered(*tail)) << label << " event " << n;
+  }
+  auto completed = CompleteSchedule(schedule);
+  auto recomputed = CompleteWithoutMemo(schedule);
+  EXPECT_EQ(completed.status().ToString(), recomputed.status().ToString())
+      << label;
+  if (completed.ok() && recomputed.ok()) {
+    EXPECT_EQ(completed->ToString(), recomputed->ToString()) << label;
+  }
+  return failed;
+}
+
 // The number of prefixes of `schedule` whose S̃, restricted to the tokens
 // that can change reducibility, differs from the previous prefix's. Built
 // from scratch per prefix: the services of the definitions that conflict
@@ -251,6 +447,7 @@ TEST_P(PredOracleSweep, OnePassMatchesPerPrefixReference) {
   config.effect_free_probability = params.effect_free_probability;
   config.alternative_probability = params.alternative_probability;
   int not_pred = 0;
+  size_t committed_violations = 0;
   for (int i = 0; i < params.iterations; ++i) {
     auto generated = GenerateRandomSchedule(config, &rng);
     ASSERT_TRUE(generated.ok()) << generated.status();
@@ -261,11 +458,16 @@ TEST_P(PredOracleSweep, OnePassMatchesPerPrefixReference) {
     ExpectSameProcRec(generated->schedule, generated->spec, label);
     ExpectSameProcRec(CommittedProjection(generated->schedule),
                       generated->spec, label + " (committed projection)");
+    committed_violations += ExpectSameCommittedProcRec(
+        generated->schedule, generated->spec, label);
+    ExpectMemoMatchesRecomputation(generated->schedule, label);
     if (HasFailure()) return;
   }
-  // Both verdicts must be exercised.
+  // Both verdicts must be exercised, and the committed check must meet
+  // violations.
   EXPECT_GT(not_pred, 0);
   EXPECT_LT(not_pred, params.iterations);
+  EXPECT_GT(committed_violations, 0u);
 }
 
 // 2,400 random schedules in all.
@@ -721,6 +923,100 @@ TEST(PredOracleRegression, ConflictFreeHighActiveHistoryRunsNoTrial) {
   EXPECT_EQ(fast->tail_trials, 0u);
 }
 
+// --- The completion memo ---
+
+// P1 and P2 run one definition, interleaved, and reach the same state
+// ({a, b} committed) from different positions, so P1's last step hits the
+// memo entry P2 made. Lemma 2 still orders every inverse by its own
+// process's commits: in the kept tail and in the group abort's expansion,
+// P1's b^-1 (b at 3) precedes P2's b^-1 (at 2), then P2's a^-1 (at 1) and
+// P1's a^-1 (at 0).
+TEST(PredOracleRegression, MemoKeepsEachProcessesInversePositions) {
+  ProcessDef def("P");
+  const ServiceId s1(1);
+  ActivityId a = def.AddActivity("a", ActivityKind::kCompensatable, s1,
+                                 ServiceId(11));
+  ActivityId b = def.AddActivity("b", ActivityKind::kCompensatable, s1,
+                                 ServiceId(12));
+  ActivityId pivot = def.AddActivity("p", ActivityKind::kPivot, ServiceId(3));
+  ASSERT_TRUE(def.AddEdge(a, b).ok());
+  ASSERT_TRUE(def.AddEdge(b, pivot).ok());
+  ASSERT_TRUE(def.Validate().ok());
+  ConflictSpec spec;
+  spec.AddConflict(s1, s1);
+  const ProcessId kP1(1), kP2(2);
+  for (bool group_abort : {false, true}) {
+    SCOPED_TRACE(group_abort ? "group abort" : "crash cut");
+    ProcessSchedule s;
+    ASSERT_TRUE(s.AddProcess(kP1, &def).ok());
+    ASSERT_TRUE(s.AddProcess(kP2, &def).ok());
+    for (const ScheduleEvent& e : {ScheduleEvent::Activity({kP1, a, false}),
+                                   ScheduleEvent::Activity({kP2, a, false}),
+                                   ScheduleEvent::Activity({kP2, b, false}),
+                                   ScheduleEvent::Activity({kP1, b, false})}) {
+      ASSERT_TRUE(s.Append(e).ok()) << e.ToString();
+    }
+    if (group_abort) {
+      ASSERT_TRUE(s.Append(ScheduleEvent::GroupAbort({kP1, kP2})).ok());
+    }
+    EXPECT_TRUE(ExpectMemoMatchesRecomputation(s, "memo positions").empty());
+    EXPECT_EQ(ExpectAgreement(s, spec, "memo positions"), 0);
+    auto completed = CompleteSchedule(s);
+    ASSERT_TRUE(completed.ok()) << completed.status();
+    std::vector<ActivityInstance> tail;
+    for (size_t i = 4; i < completed->size(); ++i) {
+      const ScheduleEvent& e = completed->events()[i];
+      if (e.type == EventType::kActivity) tail.push_back(e.act);
+    }
+    EXPECT_EQ(Rendered(tail),
+              Rendered({{kP1, b, true}, {kP2, b, true}, {kP2, a, true},
+                        {kP1, a, true}}));
+  }
+}
+
+// A pivot followed by a compensatable step is not a well-formed flex
+// structure: once the pivot commits, the completion's forward path reaches
+// a step that is not retriable. P1 commits the pivot first and its failure
+// enters the memo; P2 then reaches the same state and must fail at its own
+// event, as recomputing would, while Q's steps in between do not.
+TEST(PredOracleRegression, MemoReportsAnIllegalCompletionAtTheSameEvent) {
+  ProcessDef bad("bad");
+  ActivityId pivot = bad.AddActivity("p", ActivityKind::kPivot, ServiceId(1));
+  ActivityId after = bad.AddActivity("c", ActivityKind::kCompensatable,
+                                     ServiceId(2), ServiceId(12));
+  ASSERT_TRUE(bad.AddEdge(pivot, after).ok());
+  ASSERT_TRUE(bad.Validate().ok());
+  ProcessDef good("good");
+  ActivityId step = good.AddActivity("q", ActivityKind::kCompensatable,
+                                     ServiceId(1), ServiceId(11));
+  ASSERT_TRUE(good.Validate().ok());
+  ConflictSpec spec;
+  spec.AddConflict(ServiceId(1), ServiceId(1));
+  const ProcessId kP1(1), kQ(2), kP2(3);
+  ProcessSchedule s;
+  ASSERT_TRUE(s.AddProcess(kP1, &bad).ok());
+  ASSERT_TRUE(s.AddProcess(kQ, &good).ok());
+  ASSERT_TRUE(s.AddProcess(kP2, &bad).ok());
+  for (const ScheduleEvent& e : {ScheduleEvent::Activity({kP1, pivot, false}),
+                                 ScheduleEvent::Activity({kQ, step, false}),
+                                 ScheduleEvent::Commit(kQ),
+                                 ScheduleEvent::Activity({kP2, pivot, false})}) {
+    ASSERT_TRUE(s.Append(e).ok()) << e.ToString();
+  }
+  EXPECT_EQ(ExpectMemoMatchesRecomputation(s, "memoised failure"),
+            (std::vector<size_t>{0, 3}));
+  // The one pass stops at P1's pivot, the first prefix whose S̃ does not
+  // exist, and reports the recomputed error.
+  const Status expected =
+      ComputeCompletion(*s.Prefix(1).StateOf(kP1)).status();
+  ASSERT_FALSE(expected.ok());
+  auto fast = AnalyzePRED(s, spec);
+  ASSERT_FALSE(fast.ok());
+  EXPECT_EQ(fast.status().ToString(), expected.ToString());
+  EXPECT_FALSE(AnalyzePRED(s.Prefix(1), spec).ok());
+  EXPECT_TRUE(AnalyzePRED(s.Prefix(0), spec).ok());
+}
+
 // --- Crash cuts with most processes active ---
 
 // tpmbench's payment world in small: tenant t's reserve increments its
@@ -845,6 +1141,9 @@ size_t ExpectCrashCutAgreement(ShardedRuntime* runtime, bool conflict_free,
       }
     }
     ExpectSameProcRec(CommittedProjection(history), *spec, where);
+    ExpectSameCommittedProcRec(history, *spec, where);
+    EXPECT_TRUE(ExpectMemoMatchesRecomputation(history, where).empty())
+        << where;
   }
   return events;
 }
