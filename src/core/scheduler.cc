@@ -40,6 +40,40 @@ auto RowOf(Rows& rows, const ConflictSpec& spec, ServiceId service)
   if (index < 0 || static_cast<size_t>(index) >= rows.size()) return nullptr;
   return &rows[static_cast<size_t>(index)];
 }
+
+/// A prepared branch as logged in HELD and recovery-wave records:
+/// "<subsystem_id>:<tx_id>".
+struct BranchRef {
+  int64_t subsystem_id = -1;
+  int64_t tx = -1;
+};
+
+std::string BranchName(const Subsystem& subsystem, TxId tx) {
+  return StrCat(subsystem.id().value(), ":", tx.value());
+}
+
+std::optional<BranchRef> ParseBranch(const std::string& name) {
+  const size_t colon = name.find(':');
+  if (colon == std::string::npos) return std::nullopt;
+  Result<int64_t> subsystem_id = ParseInt64(name.substr(0, colon));
+  Result<int64_t> tx = ParseInt64(name.substr(colon + 1));
+  if (!subsystem_id.ok() || !tx.ok()) return std::nullopt;
+  return BranchRef{*subsystem_id, *tx};
+}
+
+/// Phase two of a recovery-wave branch whose record is durable: the
+/// record is the commit decision, so a lost decision message
+/// (kUnavailable) is re-driven, and NotFound means the branch already
+/// committed before a crash.
+Status CommitRecoveryBranch(Subsystem* subsystem, TxId tx) {
+  for (int attempt = 0; attempt <= kMaxRetries; ++attempt) {
+    Status committed = subsystem->CommitPrepared(tx);
+    if (committed.ok() || committed.IsNotFound()) return Status::OK();
+    if (!committed.IsUnavailable()) return committed;
+  }
+  return Status::Internal(StrCat("recovery branch ", BranchName(*subsystem, tx),
+                                 " exceeded retry cap"));
+}
 }  // namespace
 
 TransactionalProcessScheduler::TransactionalProcessScheduler(
@@ -400,7 +434,8 @@ void TransactionalProcessScheduler::PruneSerializationGraph(
 
 Status TransactionalProcessScheduler::EmitActivity(ProcessRuntime& rt,
                                                    ActivityId act,
-                                                   bool inverse) {
+                                                   bool inverse,
+                                                   bool write_ahead) {
   const ActivityDecl& emitted_decl = rt.def->activity(act);
   AddSerializationEdges(
       rt.pid, ConflictingPredecessors(*this, rt.pid, emitted_decl.service));
@@ -418,9 +453,9 @@ Status TransactionalProcessScheduler::EmitActivity(ProcessRuntime& rt,
   ActivityInstance inst{rt.pid, act, inverse};
   TPM_RETURN_IF_ERROR(history_.Append(ScheduleEvent::Activity(inst)));
   if (inverse) {
-    // The COMP record was already logged write-ahead by the caller (see
-    // LogCompensationIntent): the intention is durable before the inverse
-    // executes, so recovery never re-applies it.
+    // The COMP record was already logged write-ahead by the caller: by
+    // LogCompensationIntent before the inverse ran, or by a recovery wave
+    // before the inverse's prepared branch committed.
     TPM_RETURN_IF_ERROR(rt.state.RecordCompensation(act));
     ++stats_.compensations;
   } else {
@@ -429,7 +464,8 @@ Status TransactionalProcessScheduler::EmitActivity(ProcessRuntime& rt,
     // Forward activities are logged after the subsystem commit, as facts:
     // losing the record leaves an orphaned forward effect that recovery
     // tolerates, which is benign compared to replaying an inverse twice.
-    if (log_ != nullptr) {
+    // (A recovery wave logged its forward steps ahead, with their branch.)
+    if (log_ != nullptr && !write_ahead) {
       TPM_RETURN_IF_ERROR(
           log_->Append({SchedulerLogRecord::Kind::kActivityCommitted, rt.pid,
                         act, "", 0}));
@@ -480,6 +516,9 @@ Status TransactionalProcessScheduler::LogCompensationIntent(
   // In asynchronous mode the append alone is volatile; the intention must
   // be durable before the inverse runs, or a crash between the two could
   // make recovery execute the inverse a second time (double-compensation).
+  // Replay counts the durable intention as done, so a crash after this
+  // flush but before the inverse commits loses the inverse instead — the
+  // hole the prepared waves of Recover close for the group abort.
   return log_->Flush();
 }
 
@@ -1204,8 +1243,7 @@ std::vector<SchedulerLogRecord> TransactionalProcessScheduler::VoteRecords(
   std::vector<SchedulerLogRecord> records;
   for (const PreparedBranch& b : rt.prepared) {
     records.push_back({SchedulerLogRecord::Kind::kCommitHeld, rt.pid,
-                       b.activity,
-                       StrCat(b.subsystem->id().value(), ":", b.tx.value()),
+                       b.activity, BranchName(*b.subsystem, b.tx),
                        b.return_value});
   }
   records.push_back(
@@ -1605,11 +1643,13 @@ Status TransactionalProcessScheduler::Recover(
   // durably voted "prepared", and the subsystem:tx handle of each branch.
   struct HeldBranch {
     ActivityId activity;
-    int64_t subsystem_id = -1;
-    int64_t tx = -1;
+    BranchRef branch;
   };
   std::set<int64_t> held_voted;
   std::map<int64_t, std::vector<HeldBranch>> held_branches;
+  // The branches of an earlier Recover's wave that no later record shows
+  // resolved: the branch-carrying ACT/COMP records the log ends with.
+  std::vector<BranchRef> unresolved_wave;
 
   // Rebuild process execution states. Replay is defensive: a crash can
   // legitimately leave records that no longer apply — a write-ahead COMP
@@ -1619,6 +1659,11 @@ Status TransactionalProcessScheduler::Recover(
   // and counted (stats.recovered_log_anomalies) rather than failing
   // recovery.
   for (const SchedulerLogRecord& record : records) {
+    const bool activity_record =
+        record.kind == SchedulerLogRecord::Kind::kActivityCommitted ||
+        record.kind == SchedulerLogRecord::Kind::kActivityCompensated;
+    const bool wave_record = activity_record && !record.def_name.empty();
+    if (!wave_record) unresolved_wave.clear();
     switch (record.kind) {
       case SchedulerLogRecord::Kind::kProcessBegin: {
         auto def_it = defs_by_name.find(record.def_name);
@@ -1637,6 +1682,16 @@ Status TransactionalProcessScheduler::Recover(
       case SchedulerLogRecord::Kind::kActivityCompensated: {
         const bool inverse =
             record.kind == SchedulerLogRecord::Kind::kActivityCompensated;
+        if (wave_record) {
+          // Unparsable: the branch stays prepared and presumed abort rolls
+          // it back, so the step must not count as done either.
+          std::optional<BranchRef> branch = ParseBranch(record.def_name);
+          if (!branch.has_value()) {
+            ++stats_.recovered_log_anomalies;
+            break;
+          }
+          unresolved_wave.push_back(*branch);
+        }
         ProcessRuntime* rt = FindRuntime(record.pid);
         if (rt == nullptr ||
             !(inverse ? rt->state.RecordCompensation(record.activity)
@@ -1676,22 +1731,17 @@ Status TransactionalProcessScheduler::Recover(
           history_.MarkVote(record.pid);
           break;
         }
-        const size_t colon = record.def_name.find(':');
-        if (colon == std::string::npos) {
-          ++stats_.recovered_log_anomalies;
-          break;
-        }
-        Result<int64_t> subsystem_id =
-            ParseInt64(record.def_name.substr(0, colon));
-        Result<int64_t> tx = ParseInt64(record.def_name.substr(colon + 1));
-        if (!subsystem_id.ok() || !tx.ok()) {
+        std::optional<BranchRef> branch = ParseBranch(record.def_name);
+        if (!branch.has_value()) {
           ++stats_.recovered_log_anomalies;
           break;
         }
         held_branches[record.pid.value()].push_back(
-            HeldBranch{record.activity, *subsystem_id, *tx});
+            HeldBranch{record.activity, *branch});
         break;
       }
+      case SchedulerLogRecord::Kind::kWaveResolved:
+        break;  // resolves the wave before it, as any non-wave record does
     }
   }
 
@@ -1705,6 +1755,14 @@ Status TransactionalProcessScheduler::Recover(
     active_pids_.push_back(rt->pid);
     AddFootprint(*rt);
   }
+
+  auto subsystem_by_id = [this](int64_t id) -> Result<Subsystem*> {
+    for (Subsystem* subsystem : subsystems_) {
+      if (subsystem->id().value() == id) return subsystem;
+    }
+    return Status::NotFound(
+        StrCat("logged branch names unknown subsystem ", id));
+  };
 
   // Resolve in-doubt spanning sub-processes (Lemma 1 generalized so a
   // shard is a 2PC participant). A durable vote marker plus a coordinator
@@ -1723,19 +1781,13 @@ Status TransactionalProcessScheduler::Recover(
         if (rt->state.IsCommitted(b.activity)) {
           continue;  // released and logged before the crash
         }
-        Subsystem* subsystem = nullptr;
-        for (Subsystem* s : subsystems_) {
-          if (s->id().value() == b.subsystem_id) subsystem = s;
-        }
-        if (subsystem == nullptr) {
-          return Status::NotFound(StrCat(
-              "held branch names unknown subsystem ", b.subsystem_id));
-        }
+        TPM_ASSIGN_OR_RETURN(Subsystem * subsystem,
+                             subsystem_by_id(b.branch.subsystem_id));
         // The branch may have been committed in phase two right before the
         // crash with its ACT record lost — then CommitPrepared fails and
         // the effect is already durable, which is exactly the state this
         // path establishes.
-        (void)subsystem->CommitPrepared(TxId(b.tx));
+        (void)subsystem->CommitPrepared(TxId(b.branch.tx));
         if (!rt->state.RecordCommit(b.activity).ok()) {
           ++stats_.recovered_log_anomalies;
           continue;
@@ -1753,10 +1805,22 @@ Status TransactionalProcessScheduler::Recover(
     }
   }
 
+  // A crash inside an earlier Recover can leave its last wave durable but
+  // not wholly committed. Its durable records are the commit decision:
+  // finish phase two before presumed abort below would roll the branches
+  // back (they are already replayed as done).
+  for (const BranchRef& b : unresolved_wave) {
+    TPM_ASSIGN_OR_RETURN(Subsystem * subsystem,
+                         subsystem_by_id(b.subsystem_id));
+    TPM_RETURN_IF_ERROR(CommitRecoveryBranch(subsystem, TxId(b.tx)));
+  }
+
   // Presumed abort: prepared branches whose commit was never decided are
-  // rolled back in every subsystem. (After the force-commit pass — replay
-  // itself never touches subsystems, and phase two above must see the
-  // prepared transactions still in place.)
+  // rolled back in every subsystem — held votes without a decision, Lemma 1
+  // deferrals, and a wave whose records never became durable. (After the
+  // force-commit and wave passes — replay itself never touches subsystems,
+  // and phase two above must see the prepared transactions still in
+  // place.)
   for (Subsystem* subsystem : subsystems_) {
     TPM_RETURN_IF_ERROR(subsystem->AbortAllPrepared());
   }
@@ -1765,21 +1829,28 @@ Status TransactionalProcessScheduler::Recover(
   // all completions first, in global reverse order of the original commits
   // (Lemma 2), then the forward recovery paths (Lemma 3).
   //
-  // While it runs, appends stay staged even on a synchronous log: the log
-  // is synced only where the write-ahead rules need it — before each
-  // subsystem invocation (the COMP intention's flush, or a flush of the
-  // previous forward step's ACT) and once before returning. That keeps a
-  // synchronous log's window at one in-flight record, and no inverse can
-  // run twice, without one sync per ABORT, ACT and COMP record.
+  // The steps run in prepared waves. Each step is prepared in its
+  // subsystem (2PC phase one) in list order; a step that would block on a
+  // branch already prepared in the wave — it conflicts with that step —
+  // closes the wave first. Closing a wave appends its ACT/COMP records,
+  // each naming its branch, makes them durable with one flush, and then
+  // commits and emits the steps in list order, so the history is the one a
+  // step-by-step execution emits. A record is durable exactly when its
+  // effect is decided: a crash before the flush leaves prepared branches
+  // that the next Recover's presumed abort rolls back and re-plans; a crash
+  // after it leaves durable records whose branches the next Recover
+  // commits (above). No step is lost or applied twice, and appends stay
+  // staged even on a synchronous log: it syncs once per wave and once
+  // before returning.
   Wal::DeferSync staged(log_->wal());
-  const bool synchronous = log_->wal()->synchronous();
-  struct BackwardItem {
+  struct RecoveryStep {
     ProcessId pid;
     ActivityId activity;
-    size_t log_pos;
+    bool inverse;
+    size_t log_pos;  // of the original commit (Lemma 2 order of inverses)
   };
-  std::vector<BackwardItem> backward;
-  std::vector<std::pair<ProcessId, ActivityId>> forward;
+  std::vector<RecoveryStep> steps;
+  std::vector<RecoveryStep> forward;
   std::vector<ProcessId> aborting;
 
   // Position of each original commit in the log for Lemma 2 ordering.
@@ -1797,65 +1868,95 @@ Status TransactionalProcessScheduler::Recover(
     for (const CompletionStep& step : completion.steps) {
       if (step.inverse) {
         auto pos = act_pos.find({rt->pid.value(), step.activity.value()});
-        backward.push_back(BackwardItem{
-            rt->pid, step.activity,
+        steps.push_back(RecoveryStep{
+            rt->pid, step.activity, true,
             pos == act_pos.end() ? size_t{0} : pos->second});
       } else {
-        forward.emplace_back(rt->pid, step.activity);
+        forward.push_back(RecoveryStep{rt->pid, step.activity, false, 0});
       }
     }
   }
-  std::stable_sort(backward.begin(), backward.end(),
-                   [](const BackwardItem& a, const BackwardItem& b) {
+  // The step list: the inverses in Lemma 2 order, then the forward steps.
+  std::stable_sort(steps.begin(), steps.end(),
+                   [](const RecoveryStep& a, const RecoveryStep& b) {
                      return a.log_pos > b.log_pos;
                    });
+  steps.insert(steps.end(), forward.begin(), forward.end());
 
-  auto execute_step = [&](ProcessId pid, ActivityId activity,
-                          bool inverse) -> Status {
-    ProcessRuntime& rt = *FindRuntime(pid);
-    const ActivityDecl& decl = rt.def->activity(activity);
-    ServiceId service = inverse ? decl.compensation_service : decl.service;
-    TPM_ASSIGN_OR_RETURN(Subsystem * subsystem, RouteService(service));
-    ServiceRequest request{pid, activity, rt.param};
-    // Same write-ahead discipline as normal execution: the COMP intention
-    // is durable before the inverse runs, so a crash during this recovery
-    // never leads a second recovery to re-apply it.
-    if (inverse) {
-      TPM_RETURN_IF_ERROR(LogCompensationIntent(pid, activity));
-    } else if (synchronous &&
-               log_->wal()->size() > log_->wal()->durable_size()) {
-      TPM_RETURN_IF_ERROR(log_->Flush());
+  struct PreparedStep {
+    ProcessRuntime* rt;
+    ActivityId activity;
+    bool inverse;
+    Subsystem* subsystem;
+    TxId tx;
+  };
+  std::vector<PreparedStep> wave;
+  // A resolved wave whose marker is not yet appended: one closed earlier
+  // in this Recover, or the crashed Recover's wave re-driven above.
+  bool resolved_before = !unresolved_wave.empty();
+  auto close_wave = [&]() -> Status {
+    if (wave.empty()) return Status::OK();
+    // The previous wave's marker rides on this wave's flush. The last wave
+    // needs none: the ABORT records after it resolve it on replay.
+    if (resolved_before) {
+      TPM_RETURN_IF_ERROR(
+          log_->Append({SchedulerLogRecord::Kind::kWaveResolved, ProcessId(),
+                        ActivityId(), "", 0}));
     }
+    for (const PreparedStep& step : wave) {
+      TPM_RETURN_IF_ERROR(log_->Append(
+          {step.inverse ? SchedulerLogRecord::Kind::kActivityCompensated
+                        : SchedulerLogRecord::Kind::kActivityCommitted,
+           step.rt->pid, step.activity, BranchName(*step.subsystem, step.tx),
+           0}));
+    }
+    TPM_RETURN_IF_ERROR(log_->Flush());
+    for (const PreparedStep& step : wave) {
+      TPM_RETURN_IF_ERROR(CommitRecoveryBranch(step.subsystem, step.tx));
+      TPM_RETURN_IF_ERROR(EmitActivity(*step.rt, step.activity, step.inverse,
+                                       /*write_ahead=*/true));
+    }
+    wave.clear();
+    resolved_before = true;
+    return Status::OK();
+  };
+
+  // Phase one of a step. Recovery cannot wait for a later pass: a blocked
+  // step fails it, an aborted one is re-invoked at once.
+  auto prepare = [this](Subsystem* subsystem, ServiceId service,
+                        const ServiceRequest& request)
+      -> Result<PreparedHandle> {
     for (int attempt = 0; attempt <= kMaxRetries; ++attempt) {
-      Result<InvocationOutcome> outcome =
-          subsystem->Invoke(service, request);
-      if (outcome.ok()) {
-        return EmitActivity(rt, activity, inverse);
-      }
-      // Recovery cannot wait for a later pass: a blocked step fails it, an
-      // aborted one is re-invoked at once.
-      TPM_ASSIGN_OR_RETURN(bool retry, InvocationFailed(outcome.status(), [] {
+      Result<PreparedHandle> prepared =
+          subsystem->InvokePrepared(service, request);
+      if (prepared.ok()) return prepared;
+      TPM_ASSIGN_OR_RETURN(bool retry, InvocationFailed(prepared.status(), [] {
                              return Status::OK();
                            }));
-      if (!retry) return outcome.status();
+      if (!retry) return prepared.status();
     }
     return Status::Internal("recovery step exceeded retry cap");
   };
 
-  for (const BackwardItem& item : backward) {
-    TPM_RETURN_IF_ERROR(execute_step(item.pid, item.activity, true));
+  for (const RecoveryStep& step : steps) {
+    ProcessRuntime& rt = *FindRuntime(step.pid);
+    const ActivityDecl& decl = rt.def->activity(step.activity);
+    ServiceId service =
+        step.inverse ? decl.compensation_service : decl.service;
+    TPM_ASSIGN_OR_RETURN(Subsystem * subsystem, RouteService(service));
+    if (subsystem->WouldBlock(service)) TPM_RETURN_IF_ERROR(close_wave());
+    TPM_ASSIGN_OR_RETURN(
+        PreparedHandle prepared,
+        prepare(subsystem, service, {step.pid, step.activity, rt.param}));
+    wave.push_back(
+        PreparedStep{&rt, step.activity, step.inverse, subsystem, prepared.tx});
   }
-  for (const auto& [pid, activity] : forward) {
-    TPM_RETURN_IF_ERROR(execute_step(pid, activity, false));
-  }
+  TPM_RETURN_IF_ERROR(close_wave());
   for (ProcessId pid : aborting) {
     TPM_RETURN_IF_ERROR(FinishProcess(*FindRuntime(pid), /*committed=*/false));
   }
-  // Make the records appended during recovery (forward ACTs, terminal
-  // ABORTs) durable before declaring recovery complete — they are staged,
-  // so an immediate second crash would otherwise replay from the
-  // pre-recovery log and redo work whose effects already reached the
-  // subsystems.
+  // Make the terminal ABORT records, which also resolve the last wave,
+  // durable before declaring recovery complete.
   return log_->Flush();
 }
 

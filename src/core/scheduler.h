@@ -244,7 +244,10 @@ class TransactionalProcessScheduler : private SchedulerView {
   /// abort of all in-flight processes (Def. 8 2b): compensations first in
   /// global reverse order, then the forward recovery paths (Lemma 3). The
   /// executed recovery actions are emitted into a fresh history.
-  /// `defs_by_name` resolves the definitions referenced by the log.
+  /// `defs_by_name` resolves the definitions referenced by the log. The
+  /// group abort runs in prepared waves (one log sync per wave), so a
+  /// crash inside Recover is itself recovered exactly once by the next
+  /// Recover.
   ///
   /// Tolerates the losses a crash can inflict on the log: a lost tail
   /// (asynchronous mode) may hide activities that committed in their
@@ -483,7 +486,12 @@ class TransactionalProcessScheduler : private SchedulerView {
   /// participant unreachable, then emits the released branches. False while
   /// some participant is still unreachable.
   Result<bool> ResolveInDoubt(ProcessRuntime& rt);
-  Status EmitActivity(ProcessRuntime& rt, ActivityId act, bool inverse);
+  /// Emits a committed activity or inverse into the history and the
+  /// process state. A forward activity's ACT record is appended here, after
+  /// the fact, unless `write_ahead` says the caller logged it already (a
+  /// recovery wave); an inverse's COMP record is always the caller's.
+  Status EmitActivity(ProcessRuntime& rt, ActivityId act, bool inverse,
+                      bool write_ahead = false);
   /// Cost model: `rt` is occupied for `service`'s configured duration.
   void OccupyFor(ProcessRuntime& rt, ServiceId service);
   /// History position of the latest original commit of (pid, act), or 0.

@@ -20,6 +20,8 @@ const char* KindToken(SchedulerLogRecord::Kind kind) {
       return "ABORT";
     case SchedulerLogRecord::Kind::kCommitHeld:
       return "HELD";
+    case SchedulerLogRecord::Kind::kWaveResolved:
+      return "WAVE";
   }
   return "?";
 }
@@ -31,6 +33,7 @@ Result<SchedulerLogRecord::Kind> ParseKind(const std::string& token) {
   if (token == "COMMIT") return SchedulerLogRecord::Kind::kProcessCommitted;
   if (token == "ABORT") return SchedulerLogRecord::Kind::kProcessAborted;
   if (token == "HELD") return SchedulerLogRecord::Kind::kCommitHeld;
+  if (token == "WAVE") return SchedulerLogRecord::Kind::kWaveResolved;
   return Status::InvalidArgument(StrCat("unknown log record kind: ", token));
 }
 

@@ -15,6 +15,9 @@ namespace tpm {
 /// exactly the information needed to recompute every process's execution
 /// state (and hence its completion C(P), §3.1) after a scheduler crash.
 struct SchedulerLogRecord {
+  /// ACT and COMP records written by a recovery wave (see RecoveryLog)
+  /// carry the step's prepared branch as def_name = "<subsystem_id>:<tx_id>";
+  /// all other ACT and COMP records leave def_name empty.
   enum class Kind {
     kProcessBegin,        // process admitted (def identified by name)
     kActivityCommitted,   // original activity committed in its subsystem
@@ -30,6 +33,9 @@ struct SchedulerLogRecord {
     /// the coordinator log holds a commit decision for the spanning
     /// process, and presumes abort otherwise.
     kCommitHeld,
+    /// Recovery-wave marker: every branch-carrying ACT/COMP record before
+    /// it has committed in its subsystem.
+    kWaveResolved,
   };
 
   Kind kind = Kind::kProcessBegin;
@@ -61,7 +67,19 @@ struct SchedulerLogRecord {
 /// mode the window is one in-flight record). Compensations are logged
 /// *write-ahead*, durable before the compensating activity is invoked, so
 /// recovery never re-applies an inverse — the failure mode that, unlike an
-/// orphan, would corrupt subsystem state (double-compensation).
+/// orphan, would corrupt subsystem state (double-compensation). The price
+/// is the opposite loss: replay counts a durable intention as done, so a
+/// crash after its flush but before the inverse commits leaves that
+/// inverse never run (DESIGN.md §4d, "Known gap").
+///
+/// The group abort inside Recover logs in prepared waves instead: each
+/// step is first prepared in its subsystem (2PC phase one), then the
+/// wave's ACT/COMP records, each naming its prepared branch, are made
+/// durable by one flush, and only then are the branches committed. A
+/// record is durable exactly when its effect is decided: the next Recover
+/// commits the branches of a durable wave that no later record shows
+/// resolved, and presumed abort rolls back a wave that never became
+/// durable, so every recovery step takes effect exactly once.
 class RecoveryLog {
  public:
   explicit RecoveryLog(bool synchronous = true) : wal_(synchronous) {}

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -16,6 +17,55 @@ namespace tpm {
 namespace {
 
 using testing::MiniWorld;
+
+int CountRecords(RecoveryLog* log, SchedulerLogRecord::Kind kind) {
+  Result<std::vector<SchedulerLogRecord>> records = log->Records();
+  if (!records.ok()) return -1;
+  int count = 0;
+  for (const SchedulerLogRecord& record : *records) {
+    if (record.kind == kind) ++count;
+  }
+  return count;
+}
+
+/// Two processes to roll back (two compensations each) and two to roll
+/// forward (two retriable steps each), on disjoint keys: crashed after two
+/// passes, their group abort is eight steps that fit one prepared wave.
+std::vector<const ProcessDef*> MakeDisjointGroupAbort(MiniWorld* world) {
+  std::vector<const ProcessDef*> defs;
+  for (int i = 0; i < 2; ++i) {
+    defs.push_back(world->MakeChain(
+        StrCat("back", i), StrCat("c:a", i, " c:b", i, " c:d", i, " p:x", i)));
+    defs.push_back(world->MakeChain(
+        StrCat("fwd", i), StrCat("c:e", i, " p:f", i, " r:g", i, " r:h", i)));
+  }
+  return defs;
+}
+
+/// Runs MakeDisjointGroupAbort's processes for two passes and crashes.
+void CrashDisjointGroupAbort(MiniWorld* world,
+                             TransactionalProcessScheduler* scheduler) {
+  // The definitions register their services before the subsystem is.
+  const std::vector<const ProcessDef*> defs = MakeDisjointGroupAbort(world);
+  ASSERT_TRUE(scheduler->RegisterSubsystem(world->subsystem()).ok());
+  for (const ProcessDef* def : defs) {
+    ASSERT_NE(def, nullptr);
+    ASSERT_TRUE(scheduler->Submit(def).ok());
+  }
+  ASSERT_TRUE(scheduler->Step().ok());
+  ASSERT_TRUE(scheduler->Step().ok());
+  scheduler->Crash();
+}
+
+void ExpectDisjointGroupAbortDone(const MiniWorld& world) {
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(world.Value(StrCat("a", i)), 0) << i;
+    EXPECT_EQ(world.Value(StrCat("b", i)), 0) << i;
+    EXPECT_EQ(world.Value(StrCat("e", i)), 1) << i;
+    EXPECT_EQ(world.Value(StrCat("g", i)), 1) << i;
+    EXPECT_EQ(world.Value(StrCat("h", i)), 1) << i;
+  }
+}
 
 TEST(SchedulerRecoveryTest, RecoverWithoutLogFails) {
   TransactionalProcessScheduler scheduler;
@@ -262,17 +312,7 @@ TEST(SchedulerRecoveryTest, GroupAbortSyncsOnlyBeforeSubsystemInvocations) {
     } else {
       log = std::make_unique<RecoveryLog>();
     }
-    // Two processes to roll back (two compensations each) and two to roll
-    // forward (two retriable steps each), on disjoint keys.
-    std::vector<const ProcessDef*> defs;
-    for (int i = 0; i < 2; ++i) {
-      defs.push_back(world.MakeChain(
-          StrCat("back", i),
-          StrCat("c:a", i, " c:b", i, " c:d", i, " p:x", i)));
-      defs.push_back(world.MakeChain(
-          StrCat("fwd", i),
-          StrCat("c:e", i, " p:f", i, " r:g", i, " r:h", i)));
-    }
+    std::vector<const ProcessDef*> defs = MakeDisjointGroupAbort(&world);
     TransactionalProcessScheduler scheduler({}, log.get());
     ASSERT_TRUE(scheduler.RegisterSubsystem(world.subsystem()).ok());
     for (const ProcessDef* def : defs) {
@@ -302,6 +342,12 @@ TEST(SchedulerRecoveryTest, GroupAbortSyncsOnlyBeforeSubsystemInvocations) {
     EXPECT_EQ(appended, 12) << "on_file=" << on_file;
     EXPECT_LE(sync_hits->second, invocations + 1) << "on_file=" << on_file;
     EXPECT_LT(sync_hits->second, appended) << "on_file=" << on_file;
+    // Disjoint keys: every step fits one prepared wave, so the log syncs
+    // once for the wave and once before returning.
+    EXPECT_EQ(CountRecords(log.get(), SchedulerLogRecord::Kind::kWaveResolved),
+              0)
+        << "on_file=" << on_file;
+    EXPECT_LE(sync_hits->second, 2) << "on_file=" << on_file;
     // Everything recovery appended is durable on return.
     EXPECT_EQ(log->wal()->durable_size(), log->size());
     for (int i = 0; i < 2; ++i) {
@@ -312,6 +358,107 @@ TEST(SchedulerRecoveryTest, GroupAbortSyncsOnlyBeforeSubsystemInvocations) {
     log->wal()->SetCrashPointListener(nullptr);
   }
   std::remove(path.c_str());
+}
+
+TEST(SchedulerRecoveryTest, ConflictingCompensationsBreakTheWave) {
+  // Both processes wrote key k: their inverses conflict, so the second
+  // cannot be prepared beside the first and opens a new wave. The history
+  // still shows them in Lemma 2 order (P2's write on k came last).
+  MiniWorld world;
+  const ProcessDef* p1 = world.MakeChain("p1", "c:k c:m p:x");
+  const ProcessDef* p2 = world.MakeChain("p2", "c:n c:k p:y");
+  ASSERT_NE(p1, nullptr);
+  ASSERT_NE(p2, nullptr);
+  RecoveryLog log;
+  TransactionalProcessScheduler scheduler({}, &log);
+  ASSERT_TRUE(scheduler.RegisterSubsystem(world.subsystem()).ok());
+  ASSERT_TRUE(scheduler.Submit(p1).ok());
+  ASSERT_TRUE(scheduler.Submit(p2).ok());
+  for (int i = 0; i < 4 && world.Value("k") < 2; ++i) {
+    ASSERT_TRUE(scheduler.Step().ok());
+  }
+  ASSERT_EQ(world.Value("k"), 2);
+  scheduler.Crash();
+
+  testing::FaultInjector counter;
+  log.wal()->SetCrashPointListener(&counter);
+  ASSERT_TRUE(scheduler.Recover(world.DefsByName()).ok());
+  log.wal()->SetCrashPointListener(nullptr);
+  const int markers =
+      CountRecords(&log, SchedulerLogRecord::Kind::kWaveResolved);
+  EXPECT_GE(markers, 1);
+  // One sync per wave (markers + 1 waves) and one before returning.
+  EXPECT_EQ(counter.site_hits().at(kWalCrashSiteSync), markers + 2);
+
+  // k is activity 1 of P1 and activity 2 of P2.
+  std::vector<std::string> inverses;
+  for (const auto& e : scheduler.history().events()) {
+    if (e.type == EventType::kActivity && e.act.inverse) {
+      inverses.push_back(e.ToString());
+    }
+  }
+  const auto position = [&inverses](const std::string& inverse) {
+    return std::find(inverses.begin(), inverses.end(), inverse) -
+           inverses.begin();
+  };
+  ASSERT_EQ(inverses.size(), 4u);
+  EXPECT_LT(position("a2_2^-1"), position("a1_1^-1"));
+  for (const char* key : {"k", "m", "n", "x", "y"}) {
+    EXPECT_EQ(world.Value(key), 0) << key;
+  }
+}
+
+TEST(SchedulerRecoveryTest, CrashAfterWaveFlushCommitsPreparedBranches) {
+  // The wave's records are durable but its branches are still prepared: the
+  // next Recover commits them without invoking the services again.
+  MiniWorld world;
+  RecoveryLog log;
+  TransactionalProcessScheduler scheduler({}, &log);
+  ASSERT_NO_FATAL_FAILURE(CrashDisjointGroupAbort(&world, &scheduler));
+
+  testing::FaultInjector injector;
+  log.wal()->SetCrashPointListener(&injector);
+  injector.ArmAtSite(kWalCrashSiteSynced, 1);
+  const int64_t invocations_before = world.subsystem()->invocations();
+  EXPECT_TRUE(scheduler.Recover(world.DefsByName()).IsUnavailable());
+  ASSERT_TRUE(injector.triggered());
+  log.wal()->SetCrashPointListener(nullptr);
+  EXPECT_EQ(world.subsystem()->invocations() - invocations_before, 8);
+  EXPECT_EQ(world.Value("a0"), 1);  // prepared, not yet committed
+
+  log.Crash();
+  const int64_t invocations_mid = world.subsystem()->invocations();
+  ASSERT_TRUE(scheduler.Recover(world.DefsByName()).ok());
+  EXPECT_EQ(world.subsystem()->invocations(), invocations_mid);
+  ExpectDisjointGroupAbortDone(world);
+  for (int p = 1; p <= 4; ++p) {
+    EXPECT_EQ(scheduler.OutcomeOf(ProcessId(p)), ProcessOutcome::kAborted);
+  }
+}
+
+TEST(SchedulerRecoveryTest, CrashBeforeWaveFlushPresumesAbortAndReruns) {
+  // The crash tears the wave's flush: no record of it is durable, presumed
+  // abort rolls its prepared branches back, and the next Recover runs each
+  // step once more.
+  MiniWorld world;
+  RecoveryLog log;
+  TransactionalProcessScheduler scheduler({}, &log);
+  ASSERT_NO_FATAL_FAILURE(CrashDisjointGroupAbort(&world, &scheduler));
+
+  testing::FaultInjector injector;
+  log.wal()->SetCrashPointListener(&injector);
+  injector.ArmAtSite(kWalCrashSiteSync, 1);
+  const size_t durable_before = log.wal()->durable_size();
+  EXPECT_TRUE(scheduler.Recover(world.DefsByName()).IsUnavailable());
+  ASSERT_TRUE(injector.triggered());
+  log.wal()->SetCrashPointListener(nullptr);
+  EXPECT_EQ(log.wal()->durable_size(), durable_before);
+
+  log.Crash();
+  const int64_t invocations_mid = world.subsystem()->invocations();
+  ASSERT_TRUE(scheduler.Recover(world.DefsByName()).ok());
+  EXPECT_EQ(world.subsystem()->invocations() - invocations_mid, 8);
+  ExpectDisjointGroupAbortDone(world);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -729,6 +730,273 @@ TEST(FaultInjectionSweep, SemanticAdtMemory) {
 TEST(FaultInjectionSweep, SemanticAdtFile) {
   RunSemanticSweep(/*file_backed=*/true, /*use_op=*/true);
   RunSemanticSweep(/*file_backed=*/true, /*use_op=*/false);
+}
+
+// ---------------------------------------------------------------------------
+// Crash-inside-recovery sweep: for every workload crash point k, the first
+// Recover is itself crashed at each WAL crash point j it reaches, and a
+// second Recover must finish the job. Besides the usual criteria (PRED,
+// Proc-REC, no negative value, a probe still commits), the subsystem state
+// after the second Recover must equal the state after the uncrashed first
+// Recover of the same cut: every compensation and forward recovery step
+// took effect exactly once — none lost to the crash, none applied twice.
+
+/// A crashable world as the recovery sweep needs it; `owner` keeps the
+/// world the other members point into alive.
+struct RecoveryWorld {
+  std::shared_ptr<void> owner;
+  SchedulerOptions options;
+  std::function<Status(TransactionalProcessScheduler*)> register_all;
+  std::vector<const ProcessDef*> workload;
+  std::map<std::string, const ProcessDef*> defs_by_name;
+  /// Digest of the subsystem objects' state.
+  std::function<uint64_t()> store_fingerprint;
+  /// The sweep's correctness criteria, including the probe run.
+  std::function<std::string(TransactionalProcessScheduler*)> invariants;
+};
+
+RecoveryWorld MiniRecoveryWorld(const Scenario& scenario) {
+  auto world = std::make_shared<MiniWorld>();
+  ScenarioDefs defs = scenario.build(world.get());
+  RecoveryWorld r;
+  r.owner = world;
+  r.register_all = [w = world.get()](TransactionalProcessScheduler* s) {
+    return s->RegisterSubsystem(w->subsystem());
+  };
+  r.workload = defs.workload;
+  r.defs_by_name = world->DefsByName();
+  r.store_fingerprint = [w = world.get()] {
+    uint64_t h = kFnv1aOffsetBasis;
+    for (const auto& [key, value] : w->subsystem()->store().Snapshot()) {
+      h = Fnv1a(h, StrCat(key, "=", value));
+    }
+    return h;
+  };
+  r.invariants = [w = world.get(),
+                  probe = defs.probe](TransactionalProcessScheduler* s) {
+    return CheckInvariants(s, w, probe);
+  };
+  return r;
+}
+
+RecoveryWorld SemanticRecoveryWorld() {
+  auto run = std::make_shared<SemanticRun>(BuildSemanticRun());
+  SemanticWorld* w = run->world.get();
+  RecoveryWorld r;
+  r.owner = run;
+  r.options = SemanticSchedulerOptions(w, /*use_op=*/true);
+  r.register_all = [w](TransactionalProcessScheduler* s) {
+    return w->RegisterAll(s);
+  };
+  r.workload = run->workload;
+  r.defs_by_name = w->DefsByName();
+  // Queue lengths, not token values: a forward enqueue re-run after a
+  // presumed abort draws a fresh token, which is not a second effect.
+  r.store_fingerprint = [w] {
+    uint64_t h = kFnv1aOffsetBasis;
+    for (const auto& [key, value] : w->kv()->store().Snapshot()) {
+      h = Fnv1a(h, StrCat("kv:", key, "=", value));
+    }
+    for (const auto& [counter, balance] : w->escrow()->Snapshot()) {
+      h = Fnv1a(h, StrCat("escrow:", counter, "=", balance));
+    }
+    for (const auto& [queue, tokens] : w->queue()->Snapshot()) {
+      h = Fnv1a(h, StrCat("queue:", queue, "=", tokens.size()));
+    }
+    return h;
+  };
+  r.invariants = [w, probe = run->probe](TransactionalProcessScheduler* s) {
+    return SemanticInvariants(s, w, probe);
+  };
+  return r;
+}
+
+/// World, log and scheduler after a crash, restarted as the flavor does
+/// (the memory log restarts in place; the file log is reopened from disk
+/// under a fresh scheduler), ready for Recover.
+struct CrashedRun {
+  RecoveryWorld world;
+  std::unique_ptr<RecoveryLog> log;
+  std::unique_ptr<TransactionalProcessScheduler> scheduler;
+};
+
+Status RestartAfterCrash(const Flavor& flavor, const std::string& path,
+                         CrashedRun* run) {
+  if (!flavor.file_backed) {
+    run->log->Crash();
+    return Status::OK();
+  }
+  run->scheduler.reset();
+  run->log.reset();
+  TPM_ASSIGN_OR_RETURN(run->log, MakeLog(flavor, path));
+  run->scheduler = std::make_unique<TransactionalProcessScheduler>(
+      run->world.options, run->log.get());
+  return run->world.register_all(run->scheduler.get());
+}
+
+/// Runs the workload with a log crash at its k-th crash-point hit, then
+/// restarts. Errors if the hit is missed or absorbed.
+Status CrashWorkloadAt(const std::function<RecoveryWorld()>& make_world,
+                       const Flavor& flavor, const std::string& path,
+                       int64_t k, CrashedRun* run) {
+  std::remove(path.c_str());
+  run->world = make_world();
+  TPM_ASSIGN_OR_RETURN(run->log, MakeLog(flavor, path));
+  FaultInjector injector;
+  run->log->wal()->SetCrashPointListener(&injector);
+  injector.ArmAt(k);
+  run->scheduler = std::make_unique<TransactionalProcessScheduler>(
+      run->world.options, run->log.get());
+  TPM_RETURN_IF_ERROR(run->world.register_all(run->scheduler.get()));
+  Status workload = DriveWorkload(run->scheduler.get(), run->world.workload);
+  run->log->wal()->SetCrashPointListener(nullptr);
+  if (!injector.triggered() || !workload.IsUnavailable()) {
+    return Status::Internal(StrCat("workload crash at hit ", k,
+                                   " did not happen: ", workload.ToString()));
+  }
+  return RestartAfterCrash(flavor, path, run);
+}
+
+/// Outcomes of the workload's pids plus the subsystem state.
+uint64_t RecoveredFingerprint(const CrashedRun& run) {
+  uint64_t h = run.world.store_fingerprint();
+  for (size_t p = 1; p <= run.world.workload.size(); ++p) {
+    h = Fnv1a(h, StrCat("P", p, "=",
+                        static_cast<int>(run.scheduler->OutcomeOf(
+                            ProcessId(static_cast<int64_t>(p))))));
+  }
+  return h;
+}
+
+void RunRecoveryCrashSweep(const std::string& tag,
+                           const std::function<RecoveryWorld()>& make_world,
+                           const Flavor& flavor) {
+  const std::string path = SweepLogPath("recover_" + tag);
+
+  // Dry run: the workload's crash-point hits T.
+  int64_t workload_hits = 0;
+  {
+    std::remove(path.c_str());
+    RecoveryWorld world = make_world();
+    auto log = MakeLog(flavor, path);
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    FaultInjector counter;
+    (*log)->wal()->SetCrashPointListener(&counter);
+    TransactionalProcessScheduler scheduler(world.options, log->get());
+    ASSERT_TRUE(world.register_all(&scheduler).ok());
+    Status run = DriveWorkload(&scheduler, world.workload);
+    ASSERT_TRUE(run.ok()) << tag << ": " << run.ToString();
+    workload_hits = counter.hits();
+  }
+  ASSERT_GT(workload_hits, 0) << tag;
+
+  int64_t recover_points = 0;
+  for (int64_t k = 1; k <= workload_hits; ++k) {
+    // Reference: the uncrashed Recover of cut k, and its crash-point hits.
+    uint64_t reference = 0;
+    int64_t recover_hits = 0;
+    {
+      CrashedRun run;
+      Status crashed = CrashWorkloadAt(make_world, flavor, path, k, &run);
+      ASSERT_TRUE(crashed.ok()) << tag << ": " << crashed.ToString();
+      FaultInjector counter;
+      run.log->wal()->SetCrashPointListener(&counter);
+      Status recovered = run.scheduler->Recover(run.world.defs_by_name);
+      ASSERT_TRUE(recovered.ok())
+          << tag << " k=" << k << ": " << recovered.ToString();
+      run.log->wal()->SetCrashPointListener(nullptr);
+      reference = RecoveredFingerprint(run);
+      recover_hits = counter.hits();
+    }
+    recover_points += recover_hits;
+
+    for (int64_t j = 1; j <= recover_hits; ++j) {
+      CrashedRun run;
+      Status crashed = CrashWorkloadAt(make_world, flavor, path, k, &run);
+      ASSERT_TRUE(crashed.ok()) << tag << ": " << crashed.ToString();
+      FaultInjector armed;
+      run.log->wal()->SetCrashPointListener(&armed);
+      armed.ArmAt(j);
+      Status first = run.scheduler->Recover(run.world.defs_by_name);
+      run.log->wal()->SetCrashPointListener(nullptr);
+      ASSERT_TRUE(armed.triggered())
+          << tag << " k=" << k << " j=" << j
+          << " (deterministic rerun missed the hit): " << first.ToString();
+      ASSERT_TRUE(first.IsUnavailable())
+          << tag << " k=" << k << " j=" << j << ": " << first.ToString();
+      const std::string site = armed.triggered_site();
+
+      std::string failures;
+      Status restarted = RestartAfterCrash(flavor, path, &run);
+      Status second = restarted.ok()
+                          ? run.scheduler->Recover(run.world.defs_by_name)
+                          : restarted;
+      if (!second.ok()) {
+        failures = " second-recover:" + second.ToString();
+      } else {
+        if (RecoveredFingerprint(run) != reference) {
+          failures += " state-differs-from-uncrashed-recover";
+        }
+        failures += run.world.invariants(run.scheduler.get());
+      }
+      if (!failures.empty()) {
+        std::string seed_file = WriteFailingSeed(
+            StrCat(tag, "_workload_hit_", k), j, site, failures);
+        FAIL() << tag << " workload crash at hit " << k
+               << ", recovery crash at hit " << j << " (site " << site
+               << "):" << failures << "\n(reproducer appended to "
+               << seed_file << ")";
+      }
+    }
+  }
+  // The sweep really crashed recoveries.
+  EXPECT_GT(recover_points, 0) << tag;
+  std::remove(path.c_str());
+}
+
+TEST(FaultInjectionSweep, CrashInsideRecoveryMemorySynchronous) {
+  for (const Scenario& scenario : Scenarios()) {
+    RunRecoveryCrashSweep(
+        scenario.name + "_mem_sync",
+        [&scenario] { return MiniRecoveryWorld(scenario); },
+        Flavor{"mem_sync", /*synchronous=*/true, /*file_backed=*/false});
+  }
+}
+
+TEST(FaultInjectionSweep, CrashInsideRecoveryMemoryAsynchronous) {
+  for (const Scenario& scenario : Scenarios()) {
+    RunRecoveryCrashSweep(
+        scenario.name + "_mem_async",
+        [&scenario] { return MiniRecoveryWorld(scenario); },
+        Flavor{"mem_async", /*synchronous=*/false, /*file_backed=*/false});
+  }
+}
+
+TEST(FaultInjectionSweep, CrashInsideRecoveryFileSynchronous) {
+  for (const Scenario& scenario : Scenarios()) {
+    RunRecoveryCrashSweep(
+        scenario.name + "_file_sync",
+        [&scenario] { return MiniRecoveryWorld(scenario); },
+        Flavor{"file_sync", /*synchronous=*/true, /*file_backed=*/true});
+  }
+}
+
+TEST(FaultInjectionSweep, CrashInsideRecoveryFileAsynchronous) {
+  for (const Scenario& scenario : Scenarios()) {
+    RunRecoveryCrashSweep(
+        scenario.name + "_file_async",
+        [&scenario] { return MiniRecoveryWorld(scenario); },
+        Flavor{"file_async", /*synchronous=*/false, /*file_backed=*/true});
+  }
+}
+
+TEST(FaultInjectionSweep, CrashInsideRecoverySemanticAdt) {
+  RunRecoveryCrashSweep("semantic_mem", SemanticRecoveryWorld,
+                        Flavor{"semantic_mem", /*synchronous=*/true,
+                               /*file_backed=*/false});
+  RunRecoveryCrashSweep("semantic_file", SemanticRecoveryWorld,
+                        Flavor{"semantic_file", /*synchronous=*/true,
+                               /*file_backed=*/true});
 }
 
 }  // namespace

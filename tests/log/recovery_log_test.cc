@@ -17,6 +17,14 @@ TEST(SchedulerLogRecordTest, RoundTripsAllKinds) {
        ActivityId(), "", 0},
       {SchedulerLogRecord::Kind::kProcessAborted, ProcessId(3), ActivityId(),
        "", 0},
+      {SchedulerLogRecord::Kind::kCommitHeld, ProcessId(3), ActivityId(2),
+       "1:7", 5},
+      // A recovery wave's records: ACT/COMP naming the prepared branch, and
+      // the marker that resolves the wave.
+      {SchedulerLogRecord::Kind::kActivityCompensated, ProcessId(3),
+       ActivityId(2), "1:8", 0},
+      {SchedulerLogRecord::Kind::kWaveResolved, ProcessId(), ActivityId(), "",
+       0},
   };
   for (const auto& record : records) {
     auto parsed = SchedulerLogRecord::Parse(record.Serialize());
